@@ -7,6 +7,9 @@ quantifies local stability through weighted Poincare constants, Laplacian
 spectra, instability profiles, and Cheeger cut bounds.
 """
 
+# set before the submodule imports, which read it
+__version__ = "0.1.0"
+
 from .cheeger import (
     CheegerReport,
     Cut,
@@ -77,5 +80,3 @@ from .spectral import (
     variation_bound_check,
     weighted_domain_from_values,
 )
-
-__version__ = "0.1.0"

@@ -43,6 +43,7 @@ from .grid import ComplexField, MagnitudeField, TFGrid, disk_mask
 from .norms import measurement_norm_D, stability_probe
 from .signals import GaussianSum, gaussian
 from .spectral import (
+    RESIDUAL_CONTRACT,
     SolverConvergenceError,
     build_weighted_domain,
     poincare_estimate,
@@ -345,7 +346,7 @@ def _provenance(domain):
     return {
         "floor_applied": domain.floor_applied,
         "n_nodes": domain.n_nodes,
-        "eigenpair_residual_contract": 1e-8,
+        "eigenpair_residual_contract": RESIDUAL_CONTRACT,
         "boundary_conditions": "Neumann (weighted 5-point pencil)",
         "poincare_convention": "classical weighted constant, p = 2 spectral route",
     }

@@ -69,11 +69,6 @@ class TFGrid:
         return TFGrid(x0 + dx / 2, x1 - dx / 2, w0 + dw / 2, w1 - dw / 2, nx, nw)
 
 
-def square_grid(half_extent, n):
-    """Symmetric grid over [-half_extent, half_extent]^2 with n^2 nodes."""
-    return TFGrid(-half_extent, half_extent, -half_extent, half_extent, n, n)
-
-
 def _check_values(grid, values, dtype):
     values = np.asarray(values, dtype=dtype)
     if values.shape == (grid.n_nodes,):

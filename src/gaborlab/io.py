@@ -15,10 +15,10 @@ import tempfile
 
 import numpy as np
 
+from . import __version__
 from .grid import MagnitudeField, TFGrid, field_values
 
 TOOL_NAME = "gaborlab"
-TOOL_VERSION = "0.1.0"
 PGM_DECADES = 6.0
 
 
@@ -130,7 +130,7 @@ def report_envelope(command, config, payload, provenance=None):
     """Report with the full resolved config echoed; keys are sorted on write."""
     return {
         "tool": TOOL_NAME,
-        "version": TOOL_VERSION,
+        "version": __version__,
         "command": command,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "config": config,

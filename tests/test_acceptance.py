@@ -211,7 +211,7 @@ def _refinement_battery(dom, rng):
 
 def test_criterion_06_refinement_proposition():
     rng = np.random.default_rng(106)
-    grid = TFGrid(-2.6, 2.6, -1.0, 1.0, 59, 41)  # 2419 nodes: dense pencil
+    grid = TFGrid(-2.6, 2.6, -1.0, 1.0, 59, 41)  # 2419 nodes: shift-invert Lanczos
     worst_dumbbell = _refinement_battery(dumbbell_weight(3.0, 0.05, 0.35, grid), rng)
     dom_f = fpm_disk_domain(0.5, 1.0, 4.0, 55, floor_rel=1e-14)
     worst_fpm = _refinement_battery(dom_f, rng)

@@ -2,8 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
-import gaborlab.spectral as spectral
 from gaborlab.counterexamples import gamma_threshold, make_fpm, root_set_fpm
 from gaborlab.gabor import gabor_magnitude_field
 from gaborlab.grid import TFGrid, disk_mask
@@ -27,6 +27,20 @@ def gaussian_disk_domain(n, R, floor_rel=1e-30):
     grid = TFGrid(-R, R, -R, R, n, n)
     mag = gabor_magnitude_field(gaussian(), grid)
     return build_weighted_domain(mag, 2.0, disk_mask(grid, R), floor_rel)
+
+
+def floored_fpm_disk_domain():
+    # a = 0.5, gamma = 1 puts roots inside the disk, so the 1e-14 floor
+    # engages and the node masses span ~14 decades
+    grid = TFGrid(-4.0, 4.0, -4.0, 4.0, 55, 55)
+    mag = gabor_magnitude_field(make_fpm(0.5, 1.0).plus, grid)
+    return build_weighted_domain(mag, 2.0, disk_mask(grid, 4.0), 1e-14)
+
+
+SOLVER_DOMAINS = {
+    "gaussian61": lambda: gaussian_disk_domain(61, 3.0),
+    "fpm55_floored": floored_fpm_disk_domain,
+}
 
 
 def uniform_square_domain(n, side=1.0):
@@ -79,10 +93,14 @@ def test_floor_engages_exactly_at_root_nodes():
 
 def test_domain_validation():
     grid = TFGrid(0, 1, 0, 1, 8, 8)
-    disconnected = np.zeros(grid.shape, bool)
-    disconnected[0, 0] = disconnected[7, 7] = True
-    with pytest.raises(ValueError):
-        weighted_domain_from_values(grid, np.ones(grid.shape), disconnected)
+    far_apart = np.zeros(grid.shape, bool)
+    far_apart[0, 0] = far_apart[7, 7] = True
+    # cells touching only at a corner are not 4-connected
+    diagonal = np.zeros(grid.shape, bool)
+    diagonal[3, 3] = diagonal[4, 4] = True
+    for disconnected in (far_apart, diagonal):
+        with pytest.raises(ValueError):
+            weighted_domain_from_values(grid, np.ones(grid.shape), disconnected)
     with pytest.raises(ValueError):
         weighted_domain_from_values(grid, np.ones(grid.shape),
                                     np.zeros(grid.shape, bool))
@@ -139,8 +157,9 @@ def test_stiffness_symmetric_positive():
 # ---------------------------------------------------------------------------
 
 
-def test_neumann_kernel_and_orthonormality():
-    dom = gaussian_disk_domain(61, 3.0)
+@pytest.mark.parametrize("domain", SOLVER_DOMAINS)
+def test_neumann_kernel_and_orthonormality(domain):
+    dom = SOLVER_DOMAINS[domain]()
     dec = solve_spectrum(dom, 4)
     lam, U = dec.eigenvalues, dec.eigenvectors
     assert abs(lam[0]) <= 1e-10 * lam[1]
@@ -157,8 +176,9 @@ def test_gaussian_disk_eigenvalue_oracle():
     assert poincare_estimate(dec) == pytest.approx(1 / math.sqrt(TWO_PI), rel=0.05)
 
 
-def test_eigenpair_residuals():
-    dom = gaussian_disk_domain(61, 3.0)
+@pytest.mark.parametrize("domain", SOLVER_DOMAINS)
+def test_eigenpair_residuals(domain):
+    dom = SOLVER_DOMAINS[domain]()
     dec = solve_spectrum(dom, 4)
     S, m = assemble_operators(dom)
     for k in range(len(dec.eigenvalues)):
@@ -167,13 +187,19 @@ def test_eigenpair_residuals():
         assert np.linalg.norm(r) / np.linalg.norm(m * u) <= 1e-8
 
 
-def test_dense_and_iterative_paths_agree(monkeypatch):
-    dom = gaussian_disk_domain(51, 3.0)  # 2009 nodes: dense by default
-    dense = solve_spectrum(dom, 3).eigenvalues
-    monkeypatch.setattr(spectral, "DENSE_NODE_LIMIT", 100)
-    dom2 = gaussian_disk_domain(51, 3.0)
-    iterative = solve_spectrum(dom2, 3).eigenvalues
+def test_dense_and_iterative_paths_agree():
+    dom = gaussian_disk_domain(51, 3.0)  # 2009 nodes: shift-invert Lanczos
+    iterative = solve_spectrum(dom, 3).eigenvalues
+    S, m = assemble_operators(dom)
+    dense = eigh(S.toarray(), np.diag(m), eigvals_only=True, subset_by_index=(0, 3))
     assert np.max(np.abs(dense - iterative)) <= 1e-8 * max(dense.max(), 1.0)
+
+
+def test_shift_invert_solve_is_reproducible():
+    dom = gaussian_disk_domain(51, 3.0)  # shift-invert Lanczos path
+    first, second = solve_spectrum(dom, 3), solve_spectrum(dom, 3)
+    assert np.array_equal(first.eigenvalues, second.eigenvalues)
+    assert np.array_equal(first.eigenvectors, second.eigenvectors)
 
 
 def test_solver_argument_validation():
