@@ -127,13 +127,12 @@ def _circle_boundary_integral(domain: WeightedDomain, r):
     return float(val[ok].sum()) * r * (2.0 * math.pi / n_theta)
 
 
-def cut_ratio(domain: WeightedDomain, cut: Cut, p=None) -> float:
+def cut_ratio(domain: WeightedDomain, cut: Cut) -> float:
     """Boundary-to-bulk weighted mass ratio of the admissible side of a cut.
 
-    The domain weight is already the p-th power measure density, so p is
-    accepted only for interface symmetry.
+    The domain weight is already the p-th power measure density, so the
+    ratio needs no exponent.
     """
-    del p
     if cut.kind == "vertical_line":
         lo, hi = _vertical_side_masses(domain, cut.parameter)
         boundary = _vertical_boundary_integral(domain, cut.parameter)
@@ -149,12 +148,12 @@ def cut_ratio(domain: WeightedDomain, cut: Cut, p=None) -> float:
 def cheeger_upper_bound(
     domain: WeightedDomain,
     family,
-    p=None,
     chain_slack=10.0,
     decomposition: SpectralDecomposition | None = None,
 ) -> CheegerReport:
     """Best (smallest) cut ratio over the family, plus the spectral chain.
 
+    As in cut_ratio, the domain weight is already the measure density.
     chain_ok records whether the Poincare estimate is at most
     chain_slack / h_upper; the hidden constants of the chain are not
     claimed, only recorded against the configured slack.

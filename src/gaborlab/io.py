@@ -22,10 +22,6 @@ TOOL_NAME = "gaborlab"
 PGM_DECADES = 6.0
 
 
-def _fmt(v):
-    return repr(float(v))
-
-
 def atomic_write_text(path, text):
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
@@ -45,14 +41,13 @@ def field_csv_text(field) -> str:
     vals = field_values(field)
     if np.iscomplexobj(vals):
         vals = np.abs(vals)
-    xs = grid.x_nodes()
-    ws = grid.w_nodes()
+    # repr of a Python float is its shortest round-trip decimal; each node
+    # coordinate is formatted once, not once per row
+    ws = [repr(w) for w in grid.w_nodes().tolist()]
     lines = ["x,omega,value"]
-    for i in range(grid.nx):
-        xi = _fmt(xs[i])
-        row = vals[i]
-        for j in range(grid.nw):
-            lines.append(f"{xi},{_fmt(ws[j])},{_fmt(row[j])}")
+    for x, row in zip(grid.x_nodes().tolist(), vals.tolist()):
+        xi = repr(x)
+        lines.extend(f"{xi},{w},{v!r}" for w, v in zip(ws, row))
     return "\n".join(lines) + "\n"
 
 

@@ -7,6 +7,9 @@ int |grad h|^2 d mu; the diagonal mass matrix discretizes int h^2 d mu.
 Edges leaving the mask or the grid are simply absent, which is the discrete
 Neumann condition.  The first nontrivial eigenvalue of the pencil (S, M)
 gives the weighted Poincare constant 1/sqrt(lambda_1) at p = 2.
+
+scipy is imported inside the functions that use it, so that importing the
+package, and every command that solves no spectrum, does not load it.
 """
 
 from __future__ import annotations
@@ -15,10 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import eigh
-from scipy.sparse.csgraph import connected_components
 
 from .gabor import bargmann_cs_derivative, bargmann_eval, bargmann_modulus
 from .grid import TFGrid, field_values
@@ -29,7 +28,11 @@ RESIDUAL_CONTRACT = 1e-8
 
 
 class SolverConvergenceError(RuntimeError):
-    """Eigensolver failed to converge; carries the residual norms seen."""
+    """Eigensolver failed to converge; carries the residual norms seen.
+
+    residuals is None when the failure came before any pair was checked
+    (ARPACK did not converge).
+    """
 
     def __init__(self, message, residuals=None):
         super().__init__(message)
@@ -48,6 +51,8 @@ class WeightedDomain:
     _ops: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        from scipy.sparse.csgraph import connected_components
+
         self.mask = np.asarray(self.mask, dtype=bool)
         self.weight = np.asarray(self.weight, dtype=float)
         if self.mask.shape != self.grid.shape or self.weight.shape != self.grid.shape:
@@ -110,6 +115,8 @@ def assemble_operators(domain: WeightedDomain):
     the quadratic form h^T S h then equals the midpoint-cell quadrature of
     int |grad h|^2 d mu with one-sided differences along edges.
     """
+    import scipy.sparse as sp
+
     grid, mask, weight = domain.grid, domain.mask, domain.weight
     dx, dw = grid.dx, grid.dw
     index = -np.ones(grid.shape, dtype=np.int64)
@@ -164,6 +171,8 @@ def solve_spectrum(domain: WeightedDomain, m: int) -> SpectralDecomposition:
     pencil onto that block gives the pairs.  When the Lanczos subspace would
     span every node, the projection is onto all nodes instead: a dense solve.
     """
+    from scipy.linalg import eigh
+
     n = domain.n_nodes
     if m < 2:
         raise ValueError("m must be >= 2")
@@ -205,6 +214,9 @@ def _shift_invert_basis(domain, S, mass, k, ncv):
     vector makes the solve the same from run to run, and the LU is freed on
     return, before the caller allocates the eigenvectors it keeps.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     n = len(mass)
     shift = _shift_scale(domain, S, mass)
     lu = spla.splu((S + shift * sp.diags(mass)).tocsc(),
@@ -218,8 +230,8 @@ def _shift_invert_basis(domain, S, mass, k, ncv):
         )
     except spla.ArpackNoConvergence as exc:
         raise SolverConvergenceError(
-            f"ARPACK did not converge for {k} pairs on {n} nodes",
-            getattr(exc, "eigenvalues", None),
+            f"ARPACK did not converge for {k} pairs on {n} nodes"
+            f" ({len(exc.eigenvalues)} converged)"
         ) from exc
     # floored weights span ~14 decades; inverse iteration with the same
     # LU brings the Ritz block's residuals under the contract

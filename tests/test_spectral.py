@@ -1,14 +1,21 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from scipy.linalg import eigh
 
+from gaborlab.cli import main
 from gaborlab.counterexamples import gamma_threshold, make_fpm, root_set_fpm
 from gaborlab.gabor import gabor_magnitude_field
 from gaborlab.grid import TFGrid, disk_mask
 from gaborlab.signals import gaussian
 from gaborlab.spectral import (
+    SolverConvergenceError,
     assemble_operators,
     build_weighted_domain,
     cr_gradient_check,
@@ -200,6 +207,40 @@ def test_shift_invert_solve_is_reproducible():
     first, second = solve_spectrum(dom, 3), solve_spectrum(dom, 3)
     assert np.array_equal(first.eigenvalues, second.eigenvalues)
     assert np.array_equal(first.eigenvectors, second.eigenvectors)
+
+
+def test_arpack_failure_is_a_solver_error(monkeypatch, tmp_path):
+    def no_convergence(A, *args, **kwargs):
+        n = A.shape[0]
+        raise spla.ArpackNoConvergence("forced", np.ones(1), np.ones((n, 1)))
+
+    monkeypatch.setattr(spla, "eigsh", no_convergence)
+    dom = gaussian_disk_domain(21, 2.0)  # shift-invert Lanczos path
+    with pytest.raises(SolverConvergenceError, match="1 converged") as info:
+        solve_spectrum(dom, 3)
+    assert info.value.residuals is None
+    assert main(["spectrum", "-n", "21", "-R", "2.0", "-m", "3",
+                 "--out-dir", str(tmp_path)]) == 4
+
+
+def test_import_loads_no_scipy_until_a_solve():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import gaborlab, gaborlab.cli\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "assert not loaded, sorted(loaded)[:5]\n"
+        "grid = gaborlab.TFGrid(-1.0, 1.0, -1.0, 1.0, 9, 9)\n"
+        "dom = gaborlab.weighted_domain_from_values(grid, np.ones(grid.shape))\n"
+        "assert gaborlab.solve_spectrum(dom, 2).eigenvalues[1] > 0\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_solver_argument_validation():
