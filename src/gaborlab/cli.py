@@ -63,36 +63,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_grid(p, xmin=None, xmax=None, wmin=None, wmax=None, nx=None, nw=None):
-    p.add_argument("--xmin", type=float, default=xmin)
-    p.add_argument("--xmax", type=float, default=xmax)
-    p.add_argument("--wmin", type=float, default=wmin)
-    p.add_argument("--wmax", type=float, default=wmax)
-    p.add_argument("--nx", type=int, default=nx)
-    p.add_argument("--nw", type=int, default=nw)
-
-
 def _grid_from(cfg):
     return TFGrid(cfg["xmin"], cfg["xmax"], cfg["wmin"], cfg["wmax"],
                   cfg["nx"], cfg["nw"])
-
-
-def _resolve(args, defaults):
-    """defaults <- config file <- explicitly given CLI flags."""
-    cfg = dict(defaults)
-    path = getattr(args, "config", None)
-    if path:
-        with open(path) as fh:
-            loaded = json.load(fh)
-        for key, val in loaded.items():
-            if key not in cfg:
-                raise ValueError(f"unknown config key {key!r}")
-            cfg[key] = val
-    for key in cfg:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    return cfg
 
 
 def _make_pair(kind, a, gamma, theta=0.0) -> CounterexamplePair:
@@ -160,16 +133,7 @@ def _spectrogram_field(cfg):
     return MagnitudeField(grid, vals)
 
 
-def cmd_spectrogram(args):
-    # preset values override the base defaults but still yield to explicit
-    # CLI flags, so resolve twice: once to find the preset, once for real
-    preset = _resolve(args, _SPECTROGRAM_DEFAULTS)["preset"]
-    defaults = dict(_SPECTROGRAM_DEFAULTS)
-    if preset:
-        if preset not in _PRESETS:
-            raise ValueError(f"unknown preset {preset!r}")
-        defaults.update(_PRESETS[preset])
-    cfg = _resolve(args, defaults)
+def cmd_spectrogram(cfg):
     field = _spectrogram_field(cfg)
     name = cfg["preset"] or "spectrogram"
     io.write_field_csv(_out(cfg, f"{name}.csv"), field)
@@ -182,16 +146,6 @@ def cmd_spectrogram(args):
     io.write_report(_out(cfg, f"{name}.json"),
                     io.report_envelope("spectrogram", cfg, payload))
     return 0
-
-
-def cmd_figure1a(args):
-    args.preset = "fig1a"
-    return cmd_spectrogram(args)
-
-
-def cmd_figure1b(args):
-    args.preset = "fig1b"
-    return cmd_spectrogram(args)
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +161,7 @@ _VERIFY_DEFAULTS = dict(
 )
 
 
-def cmd_verify(args):
-    cfg = _resolve(args, _VERIFY_DEFAULTS)
+def cmd_verify(cfg):
     pair = _make_pair(cfg["kind"], cfg["a"], cfg["gamma"], cfg["theta"])
     lattice_kind = cfg["lattice"] or (
         "vertical_lines" if cfg["kind"] == "gpm" else "horizontal_lines"
@@ -252,8 +205,7 @@ _ROOTS_DEFAULTS = dict(
 )
 
 
-def cmd_roots(args):
-    cfg = _resolve(args, _ROOTS_DEFAULTS)
+def cmd_roots(cfg):
     pair = _make_pair(cfg["kind"], cfg["a"], cfg["gamma"], cfg["theta"])
     rp, rm = root_set_pair(pair, cfg["k_min"], cfg["k_max"])
     lines = ["set,x,omega"]
@@ -270,8 +222,7 @@ def cmd_roots(args):
 _THRESHOLD_DEFAULTS = dict(a=0.5, R=3.0, delta=1.0, out_dir=".")
 
 
-def cmd_threshold(args):
-    cfg = _resolve(args, _THRESHOLD_DEFAULTS)
+def cmd_threshold(cfg):
     gamma0 = math.exp(-(math.pi / cfg["a"]) * (cfg["R"] - 1.0 / (2.0 * cfg["a"])))
     thr = gamma_threshold(cfg["a"], cfg["R"], cfg["delta"])
     payload = {"gamma_0": gamma0, "threshold": thr, "delta": cfg["delta"]}
@@ -287,8 +238,7 @@ _FIGURE2_DEFAULTS = dict(
 )
 
 
-def cmd_figure2(args):
-    cfg = _resolve(args, _FIGURE2_DEFAULTS)
+def cmd_figure2(cfg):
     a, gamma = cfg["a"], cfg["gamma"]
     rp = root_set_fpm(a, gamma, +1, cfg["k_min"], cfg["k_max"])
     rm = root_set_fpm(a, gamma, -1, cfg["k_min"], cfg["k_max"])
@@ -355,8 +305,7 @@ def _provenance(domain):
 _SPECTRUM_DEFAULTS = dict(_DOMAIN_DEFAULTS, m=5, out_dir=".")
 
 
-def cmd_spectrum(args):
-    cfg = _resolve(args, _SPECTRUM_DEFAULTS)
+def cmd_spectrum(cfg):
     domain = _build_domain(cfg)
     dec = solve_spectrum(domain, cfg["m"])
     payload = {"eigenvalues": dec.eigenvalues}
@@ -370,8 +319,7 @@ def cmd_spectrum(args):
 _POINCARE_DEFAULTS = dict(_DOMAIN_DEFAULTS, m=2, out_dir=".")
 
 
-def cmd_poincare(args):
-    cfg = _resolve(args, _POINCARE_DEFAULTS)
+def cmd_poincare(cfg):
     domain = _build_domain(cfg)
     dec = solve_spectrum(domain, cfg["m"])
     est = poincare_estimate(dec)
@@ -388,18 +336,15 @@ _VARIATION_DEFAULTS = dict(
 )
 
 
-def cmd_variation(args):
-    cfg = _resolve(args, _VARIATION_DEFAULTS)
+def cmd_variation(cfg):
     base_cfg = dict(cfg, weight="gaussian", floor_rel=min(cfg["floor_rel"], 1e-14))
     dom_a = _build_domain(base_cfg)
     if cfg["mode"] == "scaled":
         dom_b = dom_a.__class__(dom_a.grid, dom_a.mask,
                                 cfg["scale"] * dom_a.weight, dom_a.p_exponent,
                                 cfg["scale"] * dom_a.floor_applied)
-    elif cfg["mode"] == "fpm-vs-gaussian":
-        dom_b = _build_domain(dict(cfg, weight="fpm"))
     else:
-        raise ValueError(f"unknown variation mode {cfg['mode']!r}")
+        dom_b = _build_domain(dict(cfg, weight="fpm"))
     report = variation_bound_check(dom_a, dom_b, cfg["p"])
     payload = {
         "A": report.ratio_min, "B": report.ratio_max,
@@ -421,8 +366,9 @@ _REFINE_DEFAULTS = dict(
 )
 
 
-def cmd_refine(args):
-    cfg = _resolve(args, _REFINE_DEFAULTS)
+def cmd_refine(cfg):
+    if cfg["n_fields"] < 1:
+        raise ValueError("n_fields must be at least 1")
     domain = _build_domain(cfg)
     dec = solve_spectrum(domain, cfg["m"])
     rng = np.random.default_rng(cfg["seed"])
@@ -449,20 +395,17 @@ _CHEEGER_DEFAULTS = dict(
 )
 
 
-def cmd_cheeger(args):
-    cfg = _resolve(args, _CHEEGER_DEFAULTS)
+def cmd_cheeger(cfg):
     domain = _build_domain(cfg)
     grid = domain.grid
     lo = cfg["cut_lo"] if cfg["cut_lo"] is not None else grid.x_min + grid.dx
     hi = cfg["cut_hi"] if cfg["cut_hi"] is not None else grid.x_max - grid.dx
     if cfg["cuts"] == "vertical":
         family = vertical_cut_family(lo, hi, cfg["cut_count"])
-    elif cfg["cuts"] == "circle":
+    else:
         rmax = min(grid.x_max, grid.w_max)
         family = circle_cut_family(rmax / cfg["cut_count"], rmax * 0.98,
                                    cfg["cut_count"])
-    else:
-        raise ValueError(f"unknown cut family {cfg['cuts']!r}")
     report = cheeger_upper_bound(domain, family, chain_slack=cfg["chain_slack"])
     payload = {
         "best_cut": {"kind": report.best_cut.kind,
@@ -490,8 +433,7 @@ _PROBE_DEFAULTS = dict(
 )
 
 
-def cmd_probe(args):
-    cfg = _resolve(args, _PROBE_DEFAULTS)
+def cmd_probe(cfg):
     pair = _make_pair(cfg["kind"], cfg["a"], cfg["gamma"])
     grid = TFGrid(-cfg["R"], cfg["R"], -cfg["R"], cfg["R"], cfg["n"], cfg["n"])
     mask = disk_mask(grid, cfg["R"])
@@ -515,8 +457,7 @@ _DNORM_DEFAULTS = dict(
 )
 
 
-def cmd_dnorm(args):
-    cfg = _resolve(args, _DNORM_DEFAULTS)
+def cmd_dnorm(cfg):
     pair = _make_pair(cfg["kind"], cfg["a"], cfg["gamma"])
     grid = TFGrid(-cfg["R"], cfg["R"], -cfg["R"], cfg["R"], cfg["n"], cfg["n"])
     fp = gabor_field(pair.plus, grid)
@@ -537,164 +478,108 @@ def cmd_dnorm(args):
 
 
 # ---------------------------------------------------------------------------
-# parser
+# one option table per command: flags, defaults and config-file checks
 # ---------------------------------------------------------------------------
+
+_COMMANDS = {
+    "spectrogram": (cmd_spectrogram, _SPECTROGRAM_DEFAULTS),
+    # the figure commands are spectrogram with its preset fixed
+    "figure1a": (cmd_spectrogram, dict(_SPECTROGRAM_DEFAULTS, preset="fig1a")),
+    "figure1b": (cmd_spectrogram, dict(_SPECTROGRAM_DEFAULTS, preset="fig1b")),
+    "verify": (cmd_verify, _VERIFY_DEFAULTS),
+    "roots": (cmd_roots, _ROOTS_DEFAULTS),
+    "threshold": (cmd_threshold, _THRESHOLD_DEFAULTS),
+    "figure2": (cmd_figure2, _FIGURE2_DEFAULTS),
+    "spectrum": (cmd_spectrum, _SPECTRUM_DEFAULTS),
+    "poincare": (cmd_poincare, _POINCARE_DEFAULTS),
+    "variation": (cmd_variation, _VARIATION_DEFAULTS),
+    "refine": (cmd_refine, _REFINE_DEFAULTS),
+    "cheeger": (cmd_cheeger, _CHEEGER_DEFAULTS),
+    "probe": (cmd_probe, _PROBE_DEFAULTS),
+    "dnorm": (cmd_dnorm, _DNORM_DEFAULTS),
+}
+
+# the types of the keys whose default is None; every other key takes the type
+# of its default
+_NONE_DEFAULT_TYPES = dict(
+    preset=str, lattice=str, extent=float, k_max=int, corridor_sigma=float,
+    cut_lo=float, cut_hi=float, q=float,
+)
+
+_CHOICES = dict(
+    signal=("gaussian", "hpm", "fpm", "gpm", "empty"),
+    sign=("plus", "minus"),
+    kind=("hpm", "fpm", "gpm"),
+    weight=("gaussian", "fpm", "hpm", "gpm", "dumbbell"),
+    lattice=("horizontal_lines", "vertical_lines", "rectangular"),
+    mode=("fpm-vs-gaussian", "scaled"),
+    cuts=("vertical", "circle"),
+    preset=tuple(_PRESETS),
+)
+
+
+def _type(key, default):
+    return _NONE_DEFAULT_TYPES[key] if default is None else type(default)
+
+
+def _settable(table):
+    """The keys a user may set: all but a preset that the command fixes."""
+    return [key for key, val in table.items() if not (key == "preset" and val)]
 
 
 def build_parser():
     parser = _Parser(prog="gaborlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, configure=None):
-        p = sub.add_parser(name)
-        p.add_argument("--config", type=str, default=None)
-        p.add_argument("--out-dir", dest="out_dir", type=str, default=None)
-        if configure:
-            configure(p)
-        p.set_defaults(func=func)
-        return p
-
-    def spectrogram_args(p):
-        p.add_argument("--preset", choices=sorted(_PRESETS), default=None)
-        p.add_argument("--signal",
-                       choices=["gaussian", "hpm", "fpm", "gpm", "empty"],
-                       default=None)
-        p.add_argument("--sign", choices=["plus", "minus"], default=None)
-        p.add_argument("-a", type=float, default=None)
-        p.add_argument("--gamma", type=float, default=None)
-        p.add_argument("--tau", type=float, default=None)
-        p.add_argument("--theta", type=float, default=None)
-        _add_grid(p)
-
-    add("spectrogram", cmd_spectrogram, spectrogram_args)
-    add("figure1a", cmd_figure1a, spectrogram_args)
-    add("figure1b", cmd_figure1b, spectrogram_args)
-
-    def verify_args(p):
-        p.add_argument("--kind", choices=["hpm", "fpm", "gpm"], default=None)
-        p.add_argument("-a", type=float, default=None)
-        p.add_argument("--gamma", type=float, default=None)
-        p.add_argument("--theta", type=float, default=None)
-        p.add_argument("--lattice",
-                       choices=["horizontal_lines", "vertical_lines",
-                                "rectangular"],
-                       default=None)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--extent", type=float, default=None)
-        p.add_argument("--offset", type=float, default=None)
-        p.add_argument("--k-max", dest="k_max", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--noneq-floor", dest="noneq_floor", type=float,
-                       default=None)
-
-    add("verify", cmd_verify, verify_args)
-
-    def roots_args(p):
-        p.add_argument("--kind", choices=["hpm", "fpm", "gpm"], default=None)
-        p.add_argument("-a", type=float, default=None)
-        p.add_argument("--gamma", type=float, default=None)
-        p.add_argument("--theta", type=float, default=None)
-        p.add_argument("--k-min", dest="k_min", type=int, default=None)
-        p.add_argument("--k-max", dest="k_max", type=int, default=None)
-
-    add("roots", cmd_roots, roots_args)
-
-    def threshold_args(p):
-        p.add_argument("-a", type=float, default=None)
-        p.add_argument("-R", type=float, default=None)
-        p.add_argument("--delta", type=float, default=None)
-
-    add("threshold", cmd_threshold, threshold_args)
-
-    def figure2_args(p):
-        p.add_argument("-a", type=float, default=None)
-        p.add_argument("--gamma", type=float, default=None)
-        p.add_argument("-R", type=float, default=None)
-        p.add_argument("--k-min", dest="k_min", type=int, default=None)
-        p.add_argument("--k-max", dest="k_max", type=int, default=None)
-
-    add("figure2", cmd_figure2, figure2_args)
-
-    def domain_args(p):
-        p.add_argument("--weight",
-                       choices=["gaussian", "fpm", "hpm", "gpm", "dumbbell"],
-                       default=None)
-        p.add_argument("-a", type=float, default=None)
-        p.add_argument("--gamma", type=float, default=None)
-        p.add_argument("-p", type=float, default=None)
-        p.add_argument("-R", type=float, default=None)
-        p.add_argument("-n", type=int, default=None)
-        p.add_argument("--floor-rel", dest="floor_rel", type=float, default=None)
-        p.add_argument("--separation", type=float, default=None)
-        p.add_argument("--bridge", type=float, default=None)
-        p.add_argument("--sigma", type=float, default=None)
-        p.add_argument("--corridor-sigma", dest="corridor_sigma", type=float,
-                       default=None)
-
-    def spectrum_args(p):
-        domain_args(p)
-        p.add_argument("-m", type=int, default=None)
-
-    add("spectrum", cmd_spectrum, spectrum_args)
-    add("poincare", cmd_poincare, spectrum_args)
-
-    def variation_args(p):
-        domain_args(p)
-        p.add_argument("--mode", choices=["fpm-vs-gaussian", "scaled"],
-                       default=None)
-        p.add_argument("--scale", type=float, default=None)
-
-    add("variation", cmd_variation, variation_args)
-
-    def refine_args(p):
-        domain_args(p)
-        p.add_argument("-m", type=int, default=None)
-        p.add_argument("-k", type=int, default=None)
-        p.add_argument("--n-fields", dest="n_fields", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-
-    add("refine", cmd_refine, refine_args)
-
-    def cheeger_args(p):
-        domain_args(p)
-        p.add_argument("--cuts", choices=["vertical", "circle"], default=None)
-        p.add_argument("--cut-lo", dest="cut_lo", type=float, default=None)
-        p.add_argument("--cut-hi", dest="cut_hi", type=float, default=None)
-        p.add_argument("--cut-count", dest="cut_count", type=int, default=None)
-        p.add_argument("--chain-slack", dest="chain_slack", type=float,
-                       default=None)
-
-    add("cheeger", cmd_cheeger, cheeger_args)
-
-    def probe_args(p):
-        p.add_argument("--kind", choices=["hpm", "fpm", "gpm"], default=None)
-        p.add_argument("-a", type=float, default=None)
-        p.add_argument("--gamma", type=float, default=None)
-        p.add_argument("-p", type=float, default=None)
-        p.add_argument("-s", type=float, default=None)
-        p.add_argument("-R", type=float, default=None)
-        p.add_argument("-n", type=int, default=None)
-        p.add_argument("-q", type=float, default=None)
-
-    add("probe", cmd_probe, probe_args)
-
-    def dnorm_args(p):
-        probe_args(p)
-        p.add_argument("-k", type=int, default=None)
-        p.add_argument("--dnorm-consistent-powers",
-                       dest="dnorm_consistent_powers",
-                       action="store_const", const=True, default=None)
-
-    add("dnorm", cmd_dnorm, dnorm_args)
-
+    for name, (_, table) in _COMMANDS.items():
+        # flags left off the command line stay out of the namespace
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        p.add_argument("--config")
+        for key in _settable(table):
+            flag = f"-{key}" if len(key) == 1 else "--" + key.replace("_", "-")
+            kind = _type(key, table[key])
+            if kind is bool:
+                p.add_argument(flag, dest=key, action="store_const", const=True)
+            else:
+                p.add_argument(flag, dest=key, type=kind,
+                               choices=_CHOICES.get(key))
     return parser
 
 
+def _check(key, val, table):
+    """Hold a config-file value to the type and choices of its flag."""
+    if key not in _settable(table):
+        raise ValueError(f"unknown config key {key!r}")
+    kind = _type(key, table[key])
+    if val is None and table[key] is None:
+        return
+    if not (type(val) is kind or (kind is float and type(val) is int)):
+        raise ValueError(f"config key {key!r} must be of type "
+                         f"{kind.__name__}, not {val!r}")
+    if key in _CHOICES and val not in _CHOICES[key]:
+        raise ValueError(f"config key {key!r} must be one of "
+                         f"{', '.join(_CHOICES[key])}, not {val!r}")
+
+
+def _resolve(table, path, given):
+    """defaults <- preset <- config file <- flags given on the command line."""
+    loaded = {}
+    if path:
+        with open(path) as fh:
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ValueError("a config file must hold one JSON object")
+        for key, val in loaded.items():
+            _check(key, val, table)
+    preset = given.get("preset", loaded.get("preset", table.get("preset")))
+    return {**table, **_PRESETS.get(preset, {}), **loaded, **given}
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
+    func, table = _COMMANDS[args.pop("command")]
+    path = args.pop("config", None)
     try:
-        return args.func(args)
+        return func(_resolve(table, path, args))
     except LatticeMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

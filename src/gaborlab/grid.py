@@ -26,8 +26,11 @@ class TFGrid:
     def __post_init__(self):
         if self.nx < 2 or self.nw < 2:
             raise ValueError("grid needs at least 2 nodes per axis")
-        if not (self.x_min < self.x_max and self.w_min < self.w_max):
-            raise ValueError("grid bounds must be increasing")
+        # also rejects bounds so close that the node spacing underflows and
+        # nodes repeat
+        for nodes in (self.x_nodes(), self.w_nodes()):
+            if not np.all(np.diff(nodes) > 0):
+                raise ValueError("grid nodes must be strictly increasing")
 
     @property
     def dx(self):

@@ -71,11 +71,19 @@ def golden_section_min(fn, lo, hi, tol=1e-10, max_iter=200):
     return x, fn(x)
 
 
-def _aligned_phase_min(objective, tol=1e-10):
-    """Minimize a smooth 2pi-periodic objective; golden section restarted on
+def _aligned_phase_min(a, b, p, area, tol=1e-10):
+    """(alpha, min_alpha sum |a - e^{-i alpha} b|^p * area) for value arrays
+    a and b.
+
+    The objective is smooth and 2pi-periodic; golden section is restarted on
     the three thirds of [0, 2pi) to dodge local minima.  The restart points
     themselves are also evaluated: golden section never lands exactly on a
     bracket endpoint, and alpha = 0 is a common exact minimizer."""
+
+    def objective(alpha):
+        diff = np.abs(a - np.exp(-1j * alpha) * b)
+        return float(np.sum(diff**p)) * area
+
     best = (0.0, objective(0.0))
     third = 2.0 * math.pi / 3.0
     for k in range(3):
@@ -107,13 +115,7 @@ def global_phase_distance(f: GaussianSum, g: GaussianSum, grid, p=2.0):
         alpha = math.atan2(ip.imag, ip.real) if ip != 0 else 0.0
         return alpha, signal_phase_distance(f, g)
 
-    area = grid.cell_area
-
-    def objective(alpha):
-        diff = np.abs(Ff.values - np.exp(-1j * alpha) * Fg.values)
-        return float(np.sum(diff**p)) * area
-
-    alpha, val = _aligned_phase_min(objective)
+    alpha, val = _aligned_phase_min(Ff.values, Fg.values, p, grid.cell_area)
     return alpha % (2.0 * math.pi), val ** (1.0 / p)
 
 
@@ -214,12 +216,7 @@ def stability_probe(
     Ff = gabor_field(f, grid)
     Fg = gabor_field(g, grid)
     area = grid.cell_area
-
-    def objective(alpha):
-        diff = np.abs(Ff.values[mask] - np.exp(-1j * alpha) * Fg.values[mask])
-        return float(np.sum(diff**p)) * area
-
-    alpha, val = _aligned_phase_min(objective)
+    alpha, val = _aligned_phase_min(Ff.values[mask], Fg.values[mask], p, area)
     numerator = val ** (1.0 / p)
 
     mag_f = Ff.magnitude()

@@ -1,10 +1,11 @@
+import argparse
 import json
 import math
 
 import numpy as np
 import pytest
 
-from gaborlab.cli import main
+from gaborlab.cli import _COMMANDS, build_parser, main
 from gaborlab.io import read_field_csv
 
 
@@ -224,3 +225,56 @@ def test_probe_and_dnorm_commands(tmp_path):
     rep = json.loads((tmp_path / "dnorm.json").read_text())
     assert rep["payload"]["value"] > 0.0
     assert rep["payload"]["ignored_q"] == 7.0
+
+
+# ---------------------------------------------------------------------------
+# option tables and input checks
+# ---------------------------------------------------------------------------
+
+
+def exit_code(args):
+    """main's return value, or the code of the SystemExit it raised."""
+    try:
+        return run(args)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("args, config, message", [
+    (["spectrogram"], {"sign": "bogus"}, "'sign'"),
+    (["spectrum"], {"n": "41"}, "'n'"),
+    (["dnorm"], {"dnorm_consistent_powers": "no"}, "'dnorm_consistent_powers'"),
+    (["threshold"], [1, 2], "JSON object"),
+    (["figure1a", "--preset", "fig1b"], None, "--preset"),
+    (["refine", "--n-fields", 0], None, "n_fields"),
+])
+def test_rejected_input_exits_1(tmp_path, capsys, args, config, message):
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        args = [*args, "--config", path]
+    assert exit_code([*args, "--out-dir", tmp_path / "out"]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def subparsers():
+    parser = build_parser()
+    action = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+@pytest.mark.parametrize("name", sorted(_COMMANDS))
+def test_flags_match_report_config(tmp_path, capsys, name):
+    # one table per command: every flag is echoed in the report config and
+    # every config key has a flag, except the preset the figures fix
+    assert exit_code([name, "--help"]) == 0
+    assert name in capsys.readouterr().out
+    assert run([name, "--out-dir", tmp_path]) == 0
+    (report,) = tmp_path.glob("*.json")
+    config = json.loads(report.read_text())["config"]
+    dests = {a.dest for a in subparsers()[name]._actions} - {"help", "config"}
+    fixed = {"preset"} if name.startswith("figure1") else set()
+    assert dests == set(config) - fixed

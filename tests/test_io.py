@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -12,15 +13,19 @@ NODE_ENDPOINTS = st.sampled_from(
 
 
 @st.composite
+def axes(draw):
+    lo, hi = sorted(draw(st.lists(NODE_ENDPOINTS, min_size=2, max_size=2,
+                                  unique=True)))
+    n = draw(st.integers(2, 5))
+    # TFGrid rejects a spacing that underflows so that nodes repeat
+    assume(np.all(np.diff(np.linspace(lo, hi, n)) > 0))
+    return lo, hi, n
+
+
+@st.composite
 def fields(draw):
-    x_lo, x_hi = sorted(draw(st.lists(NODE_ENDPOINTS, min_size=2, max_size=2,
-                                      unique=True)))
-    w_lo, w_hi = sorted(draw(st.lists(NODE_ENDPOINTS, min_size=2, max_size=2,
-                                      unique=True)))
-    grid = TFGrid(x_lo, x_hi, w_lo, w_hi,
-                  draw(st.integers(2, 5)), draw(st.integers(2, 5)))
-    # the reader finds the row length from the repeats of the first x node
-    assume(np.all(np.diff(grid.x_nodes()) > 0))
+    (x_lo, x_hi, nx), (w_lo, w_hi, nw) = draw(axes()), draw(axes())
+    grid = TFGrid(x_lo, x_hi, w_lo, w_hi, nx, nw)
     n = grid.n_nodes
     if draw(st.booleans()):
         values = draw(st.lists(st.complex_numbers(max_magnitude=1e300),
@@ -53,3 +58,13 @@ def test_field_csv_matches_reference_and_round_trips(tmp_path_factory, field):
     back = read_field_csv(path)
     assert back.grid == field.grid
     assert back.values.tobytes() == magnitudes(field).tobytes()
+
+
+@pytest.mark.parametrize("bounds", [
+    (0.0, 5e-324, 0.0, 1.0),  # x nodes 0, 0, 5e-324, 5e-324
+    (0.0, 1.0, 0.0, 5e-324),
+    (1.0, 0.0, 0.0, 1.0),
+])
+def test_grid_rejects_repeated_or_decreasing_nodes(bounds):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        TFGrid(*bounds, 4, 4)
