@@ -223,8 +223,14 @@ _THRESHOLD_DEFAULTS = dict(a=0.5, R=3.0, delta=1.0, out_dir=".")
 
 
 def cmd_threshold(cfg):
-    gamma0 = math.exp(-(math.pi / cfg["a"]) * (cfg["R"] - 1.0 / (2.0 * cfg["a"])))
-    thr = gamma_threshold(cfg["a"], cfg["R"], cfg["delta"])
+    a, R = cfg["a"], cfg["R"]
+    thr = gamma_threshold(a, R, cfg["delta"])
+    try:
+        gamma0 = math.exp(-(math.pi / a) * (R - 1.0 / (2.0 * a)))
+    except OverflowError:
+        raise ValueError(
+            f"gamma_0 = e^(-(pi/a)(R - 1/(2a))) overflows a double at a = {a!r}, R = {R!r}"
+        ) from None
     payload = {"gamma_0": gamma0, "threshold": thr, "delta": cfg["delta"]}
     io.write_report(_out(cfg, "threshold.json"),
                     io.report_envelope("threshold", cfg, payload))

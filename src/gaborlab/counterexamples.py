@@ -250,12 +250,15 @@ def root_set_pair(pair: CounterexamplePair, k_min, k_max):
 
 def gamma_threshold(a, R, delta=1.0):
     """delta * min(e^{-(pi/a)(R - 1/(2a))}, 1); with delta = 1 and the min
-    inactive this is the root-free-strip threshold gamma_0(a, R)."""
-    if a <= 0 or R <= 0:
+    inactive this is the root-free-strip threshold gamma_0(a, R).
+
+    The exponent is clamped at 0 before exp, so the min applies even where
+    e^{...} itself would overflow a double."""
+    if not (a > 0 and R > 0):
         raise ValueError("a and R must be positive")
     if not (0.0 < delta <= 1.0):
         raise ValueError("delta must lie in (0, 1]")
-    return delta * min(math.exp(-(math.pi / a) * (R - 1.0 / (2.0 * a))), 1.0)
+    return delta * math.exp(min(-(math.pi / a) * (R - 1.0 / (2.0 * a)), 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from .gabor import gabor_field
 from .grid import ComplexField, field_values, require_same_grid
 from .signals import GaussianSum, signal_phase_distance
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_SCAN = 12  # phase samples of the alignment scan
 
 
 def lp_field_norm(field, p, weight=None, mask=None):
@@ -50,50 +50,85 @@ def lp_field_norm(field, p, weight=None, mask=None):
     return total ** (1.0 / p)
 
 
-def golden_section_min(fn, lo, hi, tol=1e-10, max_iter=200):
-    """Golden-section minimum of a unimodal fn on [lo, hi]; returns (x, fn(x))."""
+def _brent_min(fn, lo, hi, x, fx, tol):
+    """Brent's bounded minimizer of fn on [lo, hi] from the point x in it
+    with value fx; returns (x, fn(x)) for the best point found.
+
+    Parabolic steps through the three best points so far, golden-section
+    steps when a parabola is not trusted (Brent 1973, ch. 5); stops when x
+    lies within about tol of the shrinking bracket's midpoint."""
+    c = (3.0 - math.sqrt(5.0)) / 2.0
     a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(max_iter):
-        if b - a < tol:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fn(c)
+    v = w = x
+    fv = fw = fx
+    d = e = 0.0
+    # |x| < 7, so Brent's relative term eps * |x| is far below tol / 3
+    tol1 = tol / 3.0
+    tol2 = 2.0 * tol1
+    while True:
+        m = (a + b) / 2.0
+        if abs(x - m) <= tol2 - (b - a) / 2.0:
+            return x, fx
+        golden = True
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                e, d = d, p / q
+                if (x + d) - a < tol2 or b - (x + d) < tol2:
+                    d = tol1 if x < m else -tol1
+                golden = False
+        if golden:
+            e = (b - x) if x < m else (a - x)
+            d = c * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = fn(u)
+        if fu <= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fn(d)
-    x = (a + b) / 2.0
-    return x, fn(x)
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 def _aligned_phase_min(a, b, p, area, tol=1e-10):
     """(alpha, min_alpha sum |a - e^{-i alpha} b|^p * area) for value arrays
     a and b.
 
-    The objective is smooth and 2pi-periodic; golden section is restarted on
-    the three thirds of [0, 2pi) to dodge local minima.  The restart points
-    themselves are also evaluated: golden section never lands exactly on a
-    bracket endpoint, and alpha = 0 is a common exact minimizer."""
+    The objective is 2pi-periodic and can have two local minima.  It is
+    sampled at _SCAN equispaced phases (alpha = 0, a common exact minimizer,
+    among them); each sample no larger than its two periodic neighbours is
+    refined by Brent's method between those neighbours.  The best sample or
+    refinement wins, the first found on ties."""
 
     def objective(alpha):
         diff = np.abs(a - np.exp(-1j * alpha) * b)
         return float(np.sum(diff**p)) * area
 
-    best = (0.0, objective(0.0))
-    third = 2.0 * math.pi / 3.0
-    for k in range(3):
-        lo = k * third
-        x, v = golden_section_min(objective, lo, lo + third, tol=tol)
-        if v < best[1]:
-            best = (x, v)
-        v_edge = objective(lo)
-        if v_edge < best[1]:
-            best = (lo, v_edge)
+    step = 2.0 * math.pi / _SCAN
+    vals = [objective(k * step) for k in range(_SCAN)]
+    k_best = min(range(_SCAN), key=vals.__getitem__)
+    best = (k_best * step, vals[k_best])
+    for k in range(_SCAN):
+        if vals[k] <= vals[k - 1] and vals[k] <= vals[(k + 1) % _SCAN]:
+            x, v = _brent_min(objective, (k - 1) * step, (k + 1) * step,
+                              k * step, vals[k], tol)
+            if v < best[1]:
+                best = (x % (2.0 * math.pi), v)
     return best
 
 
@@ -199,9 +234,10 @@ def stability_probe(
 ):
     """Probe the local stability constant of f against the candidate g.
 
-    numerator: inf_alpha ||G f - e^{i alpha} G g||_{L^p(Omega)} via golden
-    section; denominator: measurement norm (k=1) of |G f| - |G g| with
-    weight |G f|^p.  Requires p in [1, 2) and a nonempty mask.
+    numerator: inf_alpha ||G f - e^{i alpha} G g||_{L^p(Omega)} from a
+    12-phase scan refined by Brent's method; denominator: measurement norm
+    (k=1) of |G f| - |G g| with weight |G f|^p.  Requires p in [1, 2) and a
+    nonempty mask.
     """
     if not (1.0 <= p < 2.0):
         raise ValueError("stability probe requires p in [1, 2)")

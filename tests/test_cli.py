@@ -259,6 +259,20 @@ def test_rejected_input_exits_1(tmp_path, capsys, args, config, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("a, message", [
+    (0.0, "a and R must be positive"),
+    (-1.0, "a and R must be positive"),
+    (1e-3, "gamma_0"),
+])
+def test_threshold_bad_a_exits_1(tmp_path, capsys, a, message):
+    # inputs are validated before gamma_0 is computed, and a gamma_0 past
+    # the largest double is an input error, not a traceback
+    assert exit_code(["threshold", "-a", a, "--out-dir", tmp_path / "out"]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def subparsers():
     parser = build_parser()
     action = next(a for a in parser._actions

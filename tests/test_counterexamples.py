@@ -181,6 +181,15 @@ def test_gamma_threshold_values():
         gamma_threshold(-1.0, 3.0)
 
 
+def test_gamma_threshold_clamps_before_exp():
+    # at a = 1e-3 the unclamped e^{...} overflows a double; the min is 1
+    assert gamma_threshold(1e-3, 3.0) == 1.0
+    assert gamma_threshold(1e-3, 3.0, 0.25) == 0.25
+    assert gamma_threshold(5e-324, 3.0) == 1.0
+    with pytest.raises(ValueError):
+        gamma_threshold(math.nan, 3.0)
+
+
 def test_threshold_keeps_strip_root_free():
     a, R = 0.5, 3.0
     gamma = 0.99 * gamma_threshold(a, R, 1.0)

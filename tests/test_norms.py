@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gaborlab.gabor import gabor_field, gabor_magnitude_field
 from gaborlab.grid import ComplexField, MagnitudeField, TFGrid, disk_mask
+from gaborlab import norms
 from gaborlab.norms import (
+    _aligned_phase_min,
     global_phase_distance,
     lp_field_norm,
     measurement_norm_D,
@@ -97,10 +102,77 @@ def test_global_phase_distance_general_p_agrees_with_sweep():
          * grid.cell_area) ** (1 / p)
         for al in np.linspace(0, 2 * np.pi, 2001)
     )
-    # the sweep grid is coarser than the golden-section tolerance, so the
-    # found minimum must only undercut it slightly
+    # the alignment refines its phase to 1e-10, far finer than the sweep
+    # grid, so the found minimum may undercut the sweep but only slightly
     assert dist <= sweep + 1e-9
     assert dist == pytest.approx(sweep, abs=1e-5)
+
+
+def circular_gap(x, y):
+    return abs((x - y + math.pi) % (2 * math.pi) - math.pi)
+
+
+def dense_scan_min(a, b, p, area, n=2001):
+    return min(float(np.sum(np.abs(a - np.exp(-1j * al) * b) ** p)) * area
+               for al in np.linspace(0, 2 * np.pi, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    arrays(np.complex128, st.integers(1, 40),
+           elements=st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3)),
+    st.floats(0.0, 2 * math.pi, exclude_max=True),
+    st.floats(1.0, 2.0),
+    st.floats(1e-3, 1.0),
+)
+def test_alignment_recovers_a_global_phase(a, beta, p, area):
+    alpha, val = _aligned_phase_min(a, np.exp(1j * beta) * a, p, area)
+    assert 0.0 <= alpha < 2 * math.pi
+    assert circular_gap(alpha, beta) <= 1e-8
+    assert val <= 1e-8 * float(np.sum(np.abs(a) ** p)) * area
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.floats(1.0, 2.0))
+def test_alignment_undercuts_a_dense_scan_on_random_pairs(seed, n, p):
+    rng = np.random.default_rng(seed)
+    a, b = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+    _, val = _aligned_phase_min(a, b, p, 0.1)
+    assert val <= (1 + 1e-12) * dense_scan_min(a, b, p, 0.1)
+
+
+def test_alignment_undercuts_a_dense_scan_on_two_minima():
+    # the two-bump pair's objective has two local minima in alpha, neither
+    # of them on one of the 12 scan phases
+    grid = TFGrid(-3, 3, -3, 3, 41, 41)
+    pair = make_hpm(0.75)
+    a = gabor_field(pair.plus, grid).values
+    b = gabor_field(pair.minus, grid).values
+    p, area = 1.5, grid.cell_area
+    scan = np.array([float(np.sum(np.abs(a - np.exp(-1j * al) * b) ** p))
+                     for al in np.linspace(0, 2 * np.pi, 2000, endpoint=False)])
+    assert np.sum((scan <= np.roll(scan, 1)) & (scan <= np.roll(scan, -1))) == 2
+    _, val = _aligned_phase_min(a, b, p, area)
+    assert val <= (1 + 1e-12) * dense_scan_min(a, b, p, area)
+
+
+def test_probe_alignment_evaluation_budget(monkeypatch):
+    # the default probe case; each objective evaluation takes one scalar
+    # np.exp, while the field evaluations take array ones
+    pair = make_fpm(0.5, math.exp(-5 * math.pi))
+    grid = TFGrid(-3, 3, -3, 3, 121, 121)
+    mask = disk_mask(grid, 3.0)
+    calls = []
+    exp = np.exp
+
+    def counting_exp(x, *args, **kwargs):
+        if np.ndim(x) == 0:
+            calls.append(x)
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(norms.np, "exp", counting_exp)
+    stability_probe(pair.plus, pair.minus, mask, grid, 1.0, 4.0)
+    assert 0 < len(calls) <= 60
 
 
 def test_measurement_norm_zero_field():
