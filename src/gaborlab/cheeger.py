@@ -54,67 +54,85 @@ class CheegerReport:
     chain_slack: float
 
 
+class _CutTable:
+    """Per-domain sums that every cut reads; built once, cached on the domain."""
+
+    def __init__(self, domain: WeightedDomain):
+        grid, mask = domain.grid, domain.mask
+        self.xs, self.ws = grid.x_nodes(), grid.w_nodes()
+        self.dx, self.dw, self.area = grid.dx, grid.dw, grid.cell_area
+        w = np.where(mask, domain.weight, 0.0)
+        self.col_mass = w.sum(axis=1) * self.area
+        # both sides are summed directly: subtracting one side from the total
+        # cancels catastrophically when that side carries almost all the mass
+        self.left = np.concatenate(([0.0], np.cumsum(self.col_mass)))
+        self.right = np.concatenate((np.cumsum(self.col_mass[::-1])[::-1], [0.0]))
+        # weight and cell flags are C-ordered, so take() reads them by flat index
+        self.weight = np.ascontiguousarray(domain.weight)
+        self.cell_ok = mask[:-1, :-1] & mask[1:, :-1] & mask[:-1, 1:] & mask[1:, 1:]
+        r2 = (self.xs[:, None] ** 2 + self.ws[None, :] ** 2)[mask]
+        order = np.argsort(r2)
+        self.r2, node_w = r2[order], domain.weight[mask][order]
+        self.inner = np.concatenate(([0.0], np.cumsum(node_w)))
+        self.outer = np.concatenate((np.cumsum(node_w[::-1])[::-1], [0.0]))
+
+
+def _cut_table(domain: WeightedDomain) -> _CutTable:
+    if domain._cuts is None:
+        domain._cuts = _CutTable(domain)
+    return domain._cuts
+
+
 def _vertical_side_masses(domain: WeightedDomain, c):
-    """(mass of {x < c}, mass of {x > c}) with boundary cells split by
-    coverage.  Both sides are summed directly: subtracting from the total
-    cancels catastrophically when one side carries almost all the mass."""
-    grid = domain.grid
-    xs = grid.x_nodes()
-    frac = np.clip((c - (xs - grid.dx / 2.0)) / grid.dx, 0.0, 1.0)
-    w = np.where(domain.mask, domain.weight, 0.0)
-    col_mass = w.sum(axis=1) * grid.cell_area
-    return float((col_mass * frac).sum()), float((col_mass * (1.0 - frac)).sum())
-
-
-def _vertical_side_mass(domain: WeightedDomain, c):
-    return _vertical_side_masses(domain, c)[0]
+    """(mass of {x < c}, mass of {x > c}) with boundary cells split by coverage."""
+    t = _cut_table(domain)
+    frac = np.clip((c - (t.xs - t.dx / 2.0)) / t.dx, 0.0, 1.0)
+    # frac falls with x: full columns, then the partly covered ones, then none
+    full, some = int(np.count_nonzero(frac >= 1.0)), int(np.count_nonzero(frac > 0.0))
+    part, cover = t.col_mass[full:some], frac[full:some]
+    return (float(t.left[full] + (part * cover).sum()),
+            float(t.right[some] + (part * (1.0 - cover)).sum()))
 
 
 def _vertical_boundary_integral(domain: WeightedDomain, c):
     """Trapezoid of the bilinearly interpolated weight along x = c in Omega."""
-    grid = domain.grid
-    xs = grid.x_nodes()
+    t = _cut_table(domain)
+    xs = t.xs
     if not (xs[0] <= c <= xs[-1]):
         return 0.0
-    i = min(int((c - xs[0]) / grid.dx), grid.nx - 2)
-    t = (c - xs[i]) / grid.dx
-    line_ok = domain.mask[i, :] & domain.mask[i + 1, :]
-    line_w = (1.0 - t) * domain.weight[i, :] + t * domain.weight[i + 1, :]
-    total = 0.0
-    for j in range(grid.nw - 1):
-        if line_ok[j] and line_ok[j + 1]:
-            total += 0.5 * (line_w[j] + line_w[j + 1]) * grid.dw
-    return total
+    i = min(int((c - xs[0]) / t.dx), len(xs) - 2)
+    s = (c - xs[i]) / t.dx
+    line_w = (1.0 - s) * t.weight[i] + s * t.weight[i + 1]
+    seg = 0.5 * (line_w[:-1] + line_w[1:]) * t.dw
+    return float(seg[t.cell_ok[i]].sum())
 
 
 def _bilinear(domain: WeightedDomain, x, w):
     """(weight, in_mask) at arbitrary points by bilinear interpolation."""
-    grid = domain.grid
-    gx, gw = grid.x_nodes(), grid.w_nodes()
-    ix = np.clip(((x - gx[0]) / grid.dx).astype(int), 0, grid.nx - 2)
-    iw = np.clip(((w - gw[0]) / grid.dw).astype(int), 0, grid.nw - 2)
-    tx = (x - gx[ix]) / grid.dx
-    tw = (w - gw[iw]) / grid.dw
+    t = _cut_table(domain)
+    gx, gw, nw = t.xs, t.ws, len(t.ws)
+    ix = np.clip(((x - gx[0]) / t.dx).astype(int), 0, len(gx) - 2)
+    iw = np.clip(((w - gw[0]) / t.dw).astype(int), 0, nw - 2)
+    tx = (x - gx[ix]) / t.dx
+    tw = (w - gw[iw]) / t.dw
     inside = (x >= gx[0]) & (x <= gx[-1]) & (w >= gw[0]) & (w <= gw[-1])
-    m = domain.mask
-    ok = m[ix, iw] & m[ix + 1, iw] & m[ix, iw + 1] & m[ix + 1, iw + 1]
-    wt = domain.weight
+    ok = t.cell_ok.take(ix * (nw - 1) + iw)
+    k = ix * nw + iw
+    wt = t.weight
     val = (
-        wt[ix, iw] * (1 - tx) * (1 - tw)
-        + wt[ix + 1, iw] * tx * (1 - tw)
-        + wt[ix, iw + 1] * (1 - tx) * tw
-        + wt[ix + 1, iw + 1] * tx * tw
+        wt.take(k) * (1 - tx) * (1 - tw)
+        + wt.take(k + nw) * tx * (1 - tw)
+        + wt.take(k + 1) * (1 - tx) * tw
+        + wt.take(k + nw + 1) * tx * tw
     )
     return val, inside & ok
 
 
 def _circle_side_masses(domain: WeightedDomain, r):
-    X, W = domain.grid.mesh()
-    inside = (X**2 + W**2 <= r**2) & domain.mask
-    outside = domain.mask & ~inside
-    area = domain.grid.cell_area
-    return (float(domain.weight[inside].sum()) * area,
-            float(domain.weight[outside].sum()) * area)
+    t = _cut_table(domain)
+    # side="right" counts the nodes with x^2 + w^2 <= r^2, as a mask would
+    k = int(np.searchsorted(t.r2, r**2, side="right"))
+    return float(t.inner[k]) * t.area, float(t.outer[k]) * t.area
 
 
 def _circle_boundary_integral(domain: WeightedDomain, r):

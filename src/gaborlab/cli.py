@@ -185,10 +185,11 @@ def cmd_verify(cfg):
     }
     io.write_report(_out(cfg, "verify.json"),
                     io.report_envelope("verify", cfg, payload))
-    if report.max_rel_dev > cfg["tol"]:
+    # negated comparisons, so that a NaN deviation or distance fails
+    if not report.max_rel_dev <= cfg["tol"]:
         print(f"agreement FAILED: max relative deviation {report.max_rel_dev:.3e}")
         return 2
-    if report.d_X2 <= cfg["noneq_floor"]:
+    if not report.d_X2 > cfg["noneq_floor"]:
         print(f"non-equivalence FAILED: d_X2 = {report.d_X2:.3e}")
         return 3
     print(f"verified: max_rel_dev={report.max_rel_dev:.3e} d_X2={report.d_X2:.3e}")

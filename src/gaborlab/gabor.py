@@ -31,15 +31,27 @@ def gabor_eval(f: GaussianSum, x, w):
     """Closed-form G f at (x, w); x and w may be arrays (broadcast)."""
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
-    out = np.zeros(np.broadcast(x, w).shape, dtype=complex)
+    shape = np.broadcast(x, w).shape
+    out = np.zeros(shape, dtype=complex)
+    # one exponent buffer per call, filled through its real and imaginary
+    # views with the floating-point operations of the complex expression
+    #     -2j pi u ws - 1j pi xs ws - pi (xs^2 + ws^2) / 2
+    z = np.empty(shape, dtype=complex)
+    re, im, tmp = z.real, z.imag, np.empty(shape)
     for a in f.atoms:
         xs = x - a.shift
         ws = w - a.modulation
-        out += a.coeff * np.exp(
-            -2j * np.pi * a.shift * ws
-            - 1j * np.pi * xs * ws
-            - np.pi * (xs * xs + ws * ws) / 2.0
-        )
+        np.add(xs * xs, ws * ws, out=re)
+        re *= np.pi
+        re /= -2.0
+        np.multiply(-2.0 * np.pi * a.shift, ws, out=im)
+        np.multiply(np.pi * xs, ws, out=tmp)
+        im -= tmp
+        np.exp(z, out=z)
+        # the exponential stays the first factor: where complex multiply
+        # uses FMA, z * c and c * z can differ in the last bit
+        np.multiply(z, a.coeff, out=z)
+        out += z
     return out if out.shape else complex(out)
 
 
@@ -88,8 +100,7 @@ def gabor_field(f: GaussianSum, grid: TFGrid, mode="closed") -> ComplexField:
             for j, wv in enumerate(ws):
                 vals[i, j] = gabor_quadrature_oracle(f, xv, wv)
         return ComplexField(grid, vals)
-    X, W = grid.mesh()
-    return ComplexField(grid, gabor_eval(f, X, W))
+    return ComplexField(grid, gabor_eval(f, grid.x_nodes()[:, None], grid.w_nodes()[None, :]))
 
 
 def gabor_magnitude_field(f: GaussianSum, grid: TFGrid) -> MagnitudeField:

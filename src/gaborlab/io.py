@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import datetime
 import json
+import math
 import os
 import tempfile
 
@@ -111,14 +112,28 @@ def write_pgm(path, field, decades=PGM_DECADES):
 
 def json_default(obj):
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    if hasattr(obj, "__dict__"):
-        return {k: v for k, v in vars(obj).items() if not k.startswith("_")}
-    raise TypeError(f"not JSON-serializable: {type(obj)!r}")
+        plain = obj.tolist()
+    elif isinstance(obj, (np.floating, np.integer)):
+        plain = obj.item()
+    elif isinstance(obj, complex):
+        plain = {"re": obj.real, "im": obj.imag}
+    elif hasattr(obj, "__dict__"):
+        plain = {k: v for k, v in vars(obj).items() if not k.startswith("_")}
+    else:
+        raise TypeError(f"not JSON-serializable: {type(obj)!r}")
+    return _encode_nonfinite(plain)
+
+
+def _encode_nonfinite(obj):
+    """obj with each non-finite float spelled as a string ("NaN",
+    "Infinity", "-Infinity"): strict JSON has no token for them."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "NaN" if math.isnan(obj) else ("Infinity" if obj > 0 else "-Infinity")
+    if isinstance(obj, dict):
+        return {k: _encode_nonfinite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_encode_nonfinite(v) for v in obj]
+    return obj
 
 
 def report_envelope(command, config, payload, provenance=None):
@@ -135,5 +150,7 @@ def report_envelope(command, config, payload, provenance=None):
 
 
 def write_report(path, envelope):
-    text = json.dumps(envelope, sort_keys=True, indent=2, default=json_default)
+    # allow_nan=False guards the encoding: a bare NaN token would not parse
+    text = json.dumps(_encode_nonfinite(envelope), sort_keys=True, indent=2,
+                      default=json_default, allow_nan=False)
     atomic_write_text(path, text + "\n")

@@ -49,6 +49,7 @@ class WeightedDomain:
     p_exponent: float | None
     floor_applied: float
     _ops: tuple | None = field(default=None, repr=False, compare=False)
+    _cuts: object | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         from scipy.sparse.csgraph import connected_components

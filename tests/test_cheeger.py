@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaborlab.cheeger import (
     Cut,
@@ -12,12 +14,16 @@ from gaborlab.cheeger import (
     dumbbell_weight,
     vertical_cut_family,
 )
-from gaborlab.cheeger import _vertical_side_mass
+from gaborlab.cheeger import _vertical_side_masses
 from gaborlab.counterexamples import gamma_threshold, make_fpm
 from gaborlab.gabor import gabor_magnitude_field
 from gaborlab.grid import TFGrid, disk_mask
 from gaborlab.signals import gaussian
-from gaborlab.spectral import build_weighted_domain, solve_spectrum
+from gaborlab.spectral import (
+    build_weighted_domain,
+    solve_spectrum,
+    weighted_domain_from_values,
+)
 
 
 def fpm_domain(a, gamma, R=4.0, n=81, floor_rel=1e-14):
@@ -37,7 +43,7 @@ def test_midpoint_cut_halves_symmetric_mass():
     grid = TFGrid(-3, 3, -1.5, 1.5, 241, 121)
     dom = dumbbell_weight(3.0, 0.1, 0.35, grid)
     total = dom.total_mass()
-    inside = _vertical_side_mass(dom, 0.0)
+    inside = _vertical_side_masses(dom, 0.0)[0]
     assert abs(inside / total - 0.5) <= 1e-10
 
 
@@ -184,3 +190,94 @@ def test_chain_ok_recorded():
     rep = cheeger_upper_bound(dom, vertical_cut_family(-3.0, 3.5, 41))
     assert isinstance(rep.chain_ok, bool)
     assert rep.poincare == pytest.approx(1 / math.sqrt(rep.lambda1), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# cut ratios against the direct formulas: every cut re-sums the whole domain
+# ---------------------------------------------------------------------------
+
+
+def reference_cut_ratio(domain, cut):
+    """Ratio by the direct per-cut sums, or None for an inadmissible cut."""
+    grid, mask, weight = domain.grid, domain.mask, domain.weight
+    xs, ws = grid.x_nodes(), grid.w_nodes()
+    area = grid.cell_area
+    if cut.kind == "vertical_line":
+        c = cut.parameter
+        frac = np.clip((c - (xs - grid.dx / 2.0)) / grid.dx, 0.0, 1.0)
+        col_mass = np.where(mask, weight, 0.0).sum(axis=1) * area
+        lo, hi = float((col_mass * frac).sum()), float((col_mass * (1.0 - frac)).sum())
+        boundary = 0.0
+        if xs[0] <= c <= xs[-1]:
+            i = min(int((c - xs[0]) / grid.dx), grid.nx - 2)
+            t = (c - xs[i]) / grid.dx
+            line_ok = mask[i, :] & mask[i + 1, :]
+            line_w = (1.0 - t) * weight[i, :] + t * weight[i + 1, :]
+            for j in range(grid.nw - 1):
+                if line_ok[j] and line_ok[j + 1]:
+                    boundary += 0.5 * (line_w[j] + line_w[j + 1]) * grid.dw
+    else:
+        r = cut.parameter
+        X, W = grid.mesh()
+        inside = (X**2 + W**2 <= r**2) & mask
+        lo = float(weight[inside].sum()) * area
+        hi = float(weight[mask & ~inside].sum()) * area
+        n_theta = max(512, int(8.0 * 2.0 * math.pi * r / min(grid.dx, grid.dw)))
+        theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
+        x, w = r * np.cos(theta), r * np.sin(theta)
+        ix = np.clip(((x - xs[0]) / grid.dx).astype(int), 0, grid.nx - 2)
+        iw = np.clip(((w - ws[0]) / grid.dw).astype(int), 0, grid.nw - 2)
+        tx, tw = (x - xs[ix]) / grid.dx, (w - ws[iw]) / grid.dw
+        ok = ((x >= xs[0]) & (x <= xs[-1]) & (w >= ws[0]) & (w <= ws[-1])
+              & mask[ix, iw] & mask[ix + 1, iw] & mask[ix, iw + 1] & mask[ix + 1, iw + 1])
+        val = (weight[ix, iw] * (1 - tx) * (1 - tw) + weight[ix + 1, iw] * tx * (1 - tw)
+               + weight[ix, iw + 1] * (1 - tx) * tw + weight[ix + 1, iw + 1] * tx * tw)
+        boundary = float(val[ok].sum()) * r * (2.0 * math.pi / n_theta)
+    side = min(lo, hi)
+    return None if side <= 0.0 or boundary <= 0.0 else boundary / side
+
+
+@st.composite
+def cut_domains(draw):
+    nx, nw = draw(st.integers(4, 60)), draw(st.integers(4, 60))
+    if draw(st.booleans()):
+        sep = draw(st.floats(1.5, 3.5))
+        half_x = sep / 2.0 + draw(st.floats(0.6, 1.5))
+        half_w = draw(st.floats(0.5, 1.5))
+        grid = TFGrid(-half_x, half_x, -half_w, half_w, nx, nw)
+        return dumbbell_weight(sep, draw(st.floats(0.01, 1.0)), sep / 5.0, grid)
+    lo_x, lo_w = draw(st.floats(-3.0, -0.5)), draw(st.floats(-3.0, -0.5))
+    grid = TFGrid(lo_x, draw(st.floats(0.5, 3.0)), lo_w, draw(st.floats(0.5, 3.0)), nx, nw)
+    radius = draw(st.floats(max(grid.dx, grid.dw), 4.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    values = np.random.default_rng(seed).uniform(0.01, 1.0, grid.shape)
+    return weighted_domain_from_values(grid, values, mask=disk_mask(grid, radius))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cut_domains(), st.lists(st.floats(-0.3, 1.3), max_size=8),
+       st.lists(st.floats(0.01, 1.5), max_size=8))
+def test_cut_ratio_matches_direct_sums(dom, x_fracs, r_fracs):
+    grid = dom.grid
+    xs, ws = grid.x_nodes(), grid.w_nodes()
+    span = grid.x_max - grid.x_min
+    reach = math.hypot(max(-grid.x_min, grid.x_max), max(-grid.w_min, grid.w_max))
+    cell = min(grid.dx, grid.dw)
+    # cuts inside and outside the grid, on nodes and on cell edges
+    # (coverage 0 or 1), circles smaller than one cell and through nodes
+    positions = [grid.x_min + f * span for f in x_fracs]
+    positions += list(xs[::3]) + list(xs[::3] - grid.dx / 2.0) + list(xs[1::3] + grid.dx / 2.0)
+    radii = [f * reach for f in r_fracs] + [0.3 * cell, 0.9 * cell]
+    radii += [r for r in np.abs(xs[::4]) if r > 0] + [r for r in np.abs(ws[::4]) if r > 0]
+    cuts = [Cut("vertical_line", float(c)) for c in positions]
+    cuts += [Cut("circle", float(r)) for r in radii]
+    for cut in cuts:
+        expected = reference_cut_ratio(dom, cut)
+        try:
+            ratio = cut_ratio(dom, cut)
+        except InadmissibleCutError:
+            ratio = None
+        if expected is None or ratio is None:
+            assert ratio is expected, cut
+        else:
+            assert abs(ratio - expected) <= 1e-12 * expected, cut

@@ -53,6 +53,24 @@ def test_nonequivalence_exit_code(tmp_path):
                 "--noneq-floor", 10.0, "--out-dir", tmp_path]) == 3
 
 
+def strict_json(text):
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_nan_distance_fails_verify_and_stays_strict_json(tmp_path, capsys):
+    # the hpm coefficients e^{pi/(4a^2)} overflow the Gram sum at a = 0.04,
+    # so d_X2 is NaN: that must not pass the non-equivalence check
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run(["verify", "--kind", "hpm", "-a", 0.04, "--out-dir", tmp_path])
+    assert code == 3
+    assert "non-equivalence FAILED" in capsys.readouterr().out
+    rep = strict_json((tmp_path / "verify.json").read_text())
+    assert rep["payload"]["passed"] is False
+    assert rep["payload"]["d_X2"] == "NaN"
+
+
 # ---------------------------------------------------------------------------
 # figure presets
 # ---------------------------------------------------------------------------

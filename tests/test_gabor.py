@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gaborlab.counterexamples import make_hpm
 from gaborlab.gabor import (
     bargmann_cs_derivative,
     bargmann_derivative,
@@ -70,6 +71,27 @@ def test_field_closed_vs_quadrature():
     Fq = gabor_field(f, grid, mode="quadrature")
     rel = np.abs(Fc.values - Fq.values) / np.maximum(np.abs(Fc.values), 1.0)
     assert rel.max() <= 1e-8
+
+
+def test_gabor_bits_do_not_depend_on_input_size():
+    # numpy's temporary elision once turned coeff * exp(...) into
+    # exp(...) * coeff only above 16,384 points, and the two products differ
+    # in the last bit where complex multiply uses FMA
+    pair = make_hpm(1.0 / 6.0)
+    rng = np.random.default_rng(6)
+    x, w = rng.uniform(-4.0, 4.0, (2, 40_000))
+    for sig in (pair.plus, pair.minus):
+        full = gabor_eval(sig, x, w)
+        head = gabor_eval(sig, x[:1000], w[:1000])
+        assert head.tobytes() == full[:1000].tobytes()
+
+
+def test_field_equals_eval_on_mesh_bit_for_bit():
+    grid = TFGrid(-4, 4, -3, 5, 201, 161)
+    pair = make_hpm(1.0 / 6.0)
+    for sig in (pair.plus, pair.minus, random_sum(np.random.default_rng(3))):
+        field = gabor_field(sig, grid).values
+        assert field.tobytes() == gabor_eval(sig, *grid.mesh()).tobytes()
 
 
 def test_empty_signal_field_and_cost_guard():

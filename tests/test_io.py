@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gaborlab.grid import ComplexField, MagnitudeField, TFGrid
-from gaborlab.io import field_csv_text, read_field_csv, write_field_csv
+from gaborlab.io import field_csv_text, read_field_csv, write_field_csv, write_report
 
 # zero, the smallest subnormal, a larger subnormal, 1e16 and negative nodes
 NODE_ENDPOINTS = st.sampled_from(
@@ -68,3 +70,12 @@ def test_field_csv_matches_reference_and_round_trips(tmp_path_factory, field):
 def test_grid_rejects_repeated_or_decreasing_nodes(bounds):
     with pytest.raises(ValueError, match="strictly increasing"):
         TFGrid(*bounds, 4, 4)
+
+
+def test_report_spells_nonfinite_floats_as_strings(tmp_path):
+    path = tmp_path / "report.json"
+    write_report(path, {"a": float("nan"), "b": [np.inf, -np.inf, 1.5],
+                        "c": np.array([np.nan, 2.0]), "d": complex(np.inf, 0.0)})
+    back = json.loads(path.read_text(), parse_constant=lambda token: pytest.fail(token))
+    assert back == {"a": "NaN", "b": ["Infinity", "-Infinity", 1.5],
+                    "c": ["NaN", 2.0], "d": {"re": "Infinity", "im": 0.0}}
