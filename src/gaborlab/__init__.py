@@ -33,7 +33,6 @@ from .counterexamples import (
     pair_magnitude,
     root_set_fpm,
     root_set_pair,
-    rotated_magnitude,
     tilt_magnitude,
     verify_pair,
 )
@@ -47,7 +46,7 @@ from .gabor import (
     gabor_magnitude_field,
     gabor_quadrature_oracle,
 )
-from .grid import ComplexField, MagnitudeField, TFGrid, disk_mask, full_mask
+from .grid import ComplexField, MagnitudeField, TFGrid, disk_mask
 from .norms import (
     ProbeReport,
     global_phase_distance,

@@ -18,16 +18,16 @@ import numpy as np
 
 from . import io
 from .cheeger import (
-    InadmissibleCutError,
     cheeger_upper_bound,
     circle_cut_family,
     dumbbell_weight,
     vertical_cut_family,
 )
 from .counterexamples import (
+    AGREEMENT,
+    LATTICE_KINDS,
     CounterexamplePair,
     Lattice,
-    LatticeMismatchError,
     gamma_threshold,
     make_fpm,
     make_gpm,
@@ -118,16 +118,15 @@ def _spectrogram_field(cfg):
         return gabor_magnitude_field(GaussianSum(), grid)
     if sig == "gaussian":
         return gabor_magnitude_field(gaussian(), grid)
-    shifted = sig == "hpm" and cfg["preset"] in ("fig1a", "fig1b")
+    if cfg["tau"] > 0.0 and cfg["theta"] != 0.0:
+        raise ValueError("tilted spectrograms do not compose with rotation")
+    if sig == "hpm" and cfg["preset"] in ("fig1a", "fig1b"):
+        pair = _shifted_hpm(cfg["a"])
+    else:
+        pair = _make_pair(sig, cfg["a"], cfg["gamma"], cfg["theta"])
     if cfg["tau"] > 0.0:
-        if cfg["theta"] != 0.0:
-            raise ValueError("tilted spectrograms do not compose with rotation")
-        pair = (_shifted_hpm(cfg["a"]) if shifted
-                else _make_pair(sig, cfg["a"], cfg["gamma"]))
         plus_field, minus_field = tilt_magnitude(pair, cfg["tau"], grid)
         return plus_field if cfg["sign"] == "plus" else minus_field
-    pair = (_shifted_hpm(cfg["a"]) if shifted
-            else _make_pair(sig, cfg["a"], cfg["gamma"], cfg["theta"]))
     X, W = grid.mesh()
     vals = pair_magnitude(pair, +1 if cfg["sign"] == "plus" else -1, X, W)
     return MagnitudeField(grid, vals)
@@ -163,13 +162,10 @@ _VERIFY_DEFAULTS = dict(
 
 def cmd_verify(cfg):
     pair = _make_pair(cfg["kind"], cfg["a"], cfg["gamma"], cfg["theta"])
-    lattice_kind = cfg["lattice"] or (
-        "vertical_lines" if cfg["kind"] == "gpm" else "horizontal_lines"
-    )
     lattice = Lattice(
-        kind=lattice_kind, a=cfg["a"], theta=cfg["theta"],
-        line_sample_count=cfg["samples"], line_extent=cfg["extent"],
-        offset=cfg["offset"], k_max=cfg["k_max"],
+        kind=cfg["lattice"] or AGREEMENT[cfg["kind"]], a=cfg["a"],
+        theta=cfg["theta"], line_sample_count=cfg["samples"],
+        line_extent=cfg["extent"], offset=cfg["offset"], k_max=cfg["k_max"],
     )
     report = verify_pair(pair, lattice, tol=cfg["tol"],
                          noneq_floor=cfg["noneq_floor"])
@@ -516,9 +512,9 @@ _NONE_DEFAULT_TYPES = dict(
 _CHOICES = dict(
     signal=("gaussian", "hpm", "fpm", "gpm", "empty"),
     sign=("plus", "minus"),
-    kind=("hpm", "fpm", "gpm"),
+    kind=tuple(AGREEMENT),
     weight=("gaussian", "fpm", "hpm", "gpm", "dumbbell"),
-    lattice=("horizontal_lines", "vertical_lines", "rectangular"),
+    lattice=LATTICE_KINDS,
     mode=("fpm-vs-gaussian", "scaled"),
     cuts=("vertical", "circle"),
     preset=tuple(_PRESETS),
@@ -587,16 +583,11 @@ def main(argv=None):
     path = args.pop("config", None)
     try:
         return func(_resolve(table, path, args))
-    except LatticeMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except SolverConvergenceError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 4
-    except InadmissibleCutError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    # lattice mismatches, inadmissible cuts and bad JSON are ValueErrors too
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -25,12 +25,11 @@ from .gabor import _LOG_HUGE, gabor_eval
 from .grid import MagnitudeField, TFGrid
 from .signals import GaussianSum, phase_equivalent, signal_phase_distance
 
-KINDS = ("hpm", "fpm", "gpm")
 LATTICE_KINDS = ("horizontal_lines", "vertical_lines", "rectangular")
 
 # Agreement-line orientation per pair kind (before rotation).
-_AGREEMENT = {"hpm": "horizontal_lines", "fpm": "horizontal_lines",
-              "gpm": "vertical_lines"}
+AGREEMENT = {"hpm": "horizontal_lines", "fpm": "horizontal_lines",
+             "gpm": "vertical_lines"}
 
 
 @dataclass(frozen=True)
@@ -41,7 +40,6 @@ class CounterexamplePair:
     a: float
     gamma: float | None = None
     theta: float = 0.0
-    tau: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -280,17 +278,6 @@ def pair_magnitude(pair: CounterexamplePair, sign, x, w):
     return np.abs(gabor_eval(base, xb, wb))
 
 
-def rotated_magnitude(pair: CounterexamplePair, theta, x, w):
-    """(|G f_+^theta|, |G f_-^theta|) at (x, w) via coordinate rotation."""
-    rotated = CounterexamplePair(
-        pair.plus, pair.minus, pair.kind, pair.a, pair.gamma, theta, pair.tau
-    )
-    return (
-        pair_magnitude(rotated, +1, x, w),
-        pair_magnitude(rotated, -1, x, w),
-    )
-
-
 def tilt_magnitude(base: CounterexamplePair, tau, grid: TFGrid):
     """Magnitude fields of the Bargmann-tilted pair: |G f~_pm| = |G h_pm| e^{pi tau x}.
 
@@ -346,7 +333,7 @@ def verify_pair(pair: CounterexamplePair, lattice: Lattice, tol=1e-9,
                 noneq_floor=1e-9) -> AgreementReport:
     """Sample both magnitudes on the lattice, check agreement and
     non-equivalence.  passed <=> max_rel_dev <= tol and d_X2 > noneq_floor."""
-    expected = _AGREEMENT[pair.kind]
+    expected = AGREEMENT[pair.kind]
     if lattice.kind not in (expected, "rectangular"):
         raise LatticeMismatchError(
             f"{pair.kind} pairs agree on {expected}; got {lattice.kind}"

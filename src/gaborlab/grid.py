@@ -115,10 +115,6 @@ def require_same_grid(a, b):
         raise ValueError("fields live on different grids")
 
 
-def full_mask(grid):
-    return np.ones(grid.shape, dtype=bool)
-
-
 def disk_mask(grid, radius, center=(0.0, 0.0)):
     X, W = grid.mesh()
     return (X - center[0]) ** 2 + (W - center[1]) ** 2 <= radius**2

@@ -82,10 +82,10 @@ def read_field_csv(path):
     return MagnitudeField(grid, vs.reshape(nx, nw))
 
 
-def pgm_text(field, decades=PGM_DECADES) -> str:
+def pgm_text(field) -> str:
     """P2 image; rows scan omega from top (w_max) down, columns scan x.
 
-    pixel = round(255 * clip(1 + log10(value / max) / decades, 0, 1)); an
+    pixel = round(255 * clip(1 + log10(value / max) / PGM_DECADES, 0, 1)); an
     all-zero field maps to all black.
     """
     grid = field.grid
@@ -97,7 +97,7 @@ def pgm_text(field, decades=PGM_DECADES) -> str:
         pix = np.zeros(grid.shape, dtype=int)
     else:
         with np.errstate(divide="ignore"):
-            scaled = 1.0 + np.log10(vals / peak) / decades
+            scaled = 1.0 + np.log10(vals / peak) / PGM_DECADES
         pix = np.rint(255.0 * np.clip(scaled, 0.0, 1.0)).astype(int)
     # image rows: omega descending; image columns: x ascending
     img = pix.T[::-1, :]
@@ -106,8 +106,8 @@ def pgm_text(field, decades=PGM_DECADES) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_pgm(path, field, decades=PGM_DECADES):
-    atomic_write_text(path, pgm_text(field, decades))
+def write_pgm(path, field):
+    atomic_write_text(path, pgm_text(field))
 
 
 def json_default(obj):

@@ -112,8 +112,11 @@ def _aligned_phase_min(a, b, p, area, tol=1e-10):
     The objective is 2pi-periodic and can have two local minima.  It is
     sampled at _SCAN equispaced phases (alpha = 0, a common exact minimizer,
     among them); each sample no larger than its two periodic neighbours is
-    refined by Brent's method between those neighbours.  The best sample or
-    refinement wins, the first found on ties."""
+    refined by Brent's method between those neighbours.  A second minimum
+    can hide just outside that bracket, so each gap beyond a neighbour that
+    is lower than the sample past it, and where the objective descends away
+    from the low sample, is refined too.  The best sample or refinement
+    wins, the first found on ties."""
 
     def objective(alpha):
         diff = np.abs(a - np.exp(-1j * alpha) * b)
@@ -123,12 +126,22 @@ def _aligned_phase_min(a, b, p, area, tol=1e-10):
     vals = [objective(k * step) for k in range(_SCAN)]
     k_best = min(range(_SCAN), key=vals.__getitem__)
     best = (k_best * step, vals[k_best])
-    for k in range(_SCAN):
-        if vals[k] <= vals[k - 1] and vals[k] <= vals[(k + 1) % _SCAN]:
-            x, v = _brent_min(objective, (k - 1) * step, (k + 1) * step,
-                              k * step, vals[k], tol)
-            if v < best[1]:
-                best = (x % (2.0 * math.pi), v)
+    low = [vals[k] <= vals[k - 1] and vals[k] <= vals[(k + 1) % _SCAN]
+           for k in range(_SCAN)]
+    # brackets (lo, hi, start) in steps, each low sample's first; a one-sided
+    # difference gives the slope at a neighbour j
+    brackets = [(k - 1, k + 1, k) for k in range(_SCAN) if low[k]]
+    for k in filter(low.__getitem__, range(_SCAN)):
+        for side in (-1, 1):
+            j, far = (k + side) % _SCAN, (k + 2 * side) % _SCAN
+            if (not low[far] and vals[far] > vals[j]
+                    and side * (objective(j * step + 1e-6) - vals[j]) < 0):
+                brackets.append((min(j, j + side), max(j, j + side), j))
+    for lo, hi, k in brackets:
+        x, v = _brent_min(objective, lo * step, hi * step, k * step,
+                          vals[k], tol)
+        if v < best[1]:
+            best = (x % (2.0 * math.pi), v)
     return best
 
 

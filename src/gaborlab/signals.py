@@ -39,7 +39,7 @@ class GaussianSum:
     operations return new sums.
     """
 
-    __slots__ = ("atoms", "_coeffs", "_shifts", "_modulations")
+    __slots__ = ("atoms", "_coeffs", "_shifts")
 
     def __init__(self, atoms=()):
         merged: dict[tuple[float, float], complex] = {}
@@ -58,7 +58,6 @@ class GaussianSum:
         self.atoms = tuple(GaussianAtom(c, u, b) for c, u, b in kept)
         self._coeffs = np.array([a.coeff for a in self.atoms], dtype=complex)
         self._shifts = np.array([a.shift for a in self.atoms], dtype=float)
-        self._modulations = np.array([a.modulation for a in self.atoms], dtype=float)
 
     # -- array views used by the transform code ---------------------------
     @property
@@ -68,10 +67,6 @@ class GaussianSum:
     @property
     def shifts(self):
         return self._shifts
-
-    @property
-    def modulations(self):
-        return self._modulations
 
     def __len__(self):
         return len(self.atoms)
@@ -107,9 +102,6 @@ class GaussianSum:
         )
 
     __rmul__ = __mul__
-
-    def scaled(self, scalar):
-        return self * scalar
 
     def translated(self, u):
         """T_u f; commuting T_u past each modulation costs a phase e^{-2 pi i b u}."""
@@ -151,24 +143,39 @@ def atom_inner(u1, b1, u2, b2):
     )
 
 
-def signal_inner(f: GaussianSum, g: GaussianSum) -> complex:
-    """L2 inner product <f, g>, conjugate-linear in f, exact via atom overlaps."""
-    if f.is_zero or g.is_zero:
-        return 0j
+def _unit_coeffs(f: GaussianSum):
+    """(c_j / 2^e, e), with 2^e the power of two just above max |c_j|."""
+    e = math.frexp(float(np.max(np.abs(f.coeffs), initial=0.0)))[1]
+    return [complex(math.ldexp(c.real, -e), math.ldexp(c.imag, -e))
+            for c in f.coeffs], e
+
+
+def _gram(f: GaussianSum, g: GaussianSum):
+    """(s, e) with <f, g> = s 2^e, summed over each signal's coefficients in
+    its unit 2^e.  That scaling is exact, so s 2^e has the bits of the raw
+    sum wherever that is a normal double, and s stays representable where
+    raw coefficient products would overflow or underflow."""
+    (cf, ef), (cg, eg) = _unit_coeffs(f), _unit_coeffs(g)
     total = 0j
-    for af in f.atoms:
-        for ag in g.atoms:
-            total += (
-                np.conj(af.coeff)
-                * ag.coeff
-                * atom_inner(af.shift, af.modulation, ag.shift, ag.modulation)
-            )
-    return complex(total)
+    for c1, af in zip(cf, f.atoms):
+        for c2, ag in zip(cg, g.atoms):
+            total += np.conj(c1) * c2 * atom_inner(af.shift, af.modulation,
+                                                   ag.shift, ag.modulation)
+    return complex(total), ef + eg
+
+
+def signal_inner(f: GaussianSum, g: GaussianSum) -> complex:
+    """L2 inner product <f, g>, conjugate-linear in f, exact via atom overlaps.
+
+    Raises OverflowError where |<f, g>| exceeds the double range."""
+    s, e = _gram(f, g)
+    return complex(math.ldexp(s.real, e), math.ldexp(s.imag, e))
 
 
 def signal_norm(f: GaussianSum) -> float:
     """Exact L2 norm of a Gaussian sum."""
-    return math.sqrt(max(signal_inner(f, f).real, 0.0))
+    s, e = _gram(f, f)
+    return math.ldexp(math.sqrt(max(s.real, 0.0)), e // 2)
 
 
 def signal_phase_distance(f: GaussianSum, g: GaussianSum) -> float:
@@ -179,14 +186,14 @@ def signal_phase_distance(f: GaussianSum, g: GaussianSum) -> float:
     level: the textbook form cancels catastrophically when f and g are
     within ~1e-8 of each other.
     """
-    ip = signal_inner(f, g)
+    ip, _ = _gram(f, g)  # the phase of <f, g> is that of its scaled sum
     alpha = math.atan2(ip.imag, ip.real) if ip != 0 else 0.0
     # alpha maximizes Re(e^{i alpha} <f, g>), so the aligned copy is e^{-i alpha} g
     residual = f - g * complex(math.cos(alpha), -math.sin(alpha))
     return signal_norm(residual)
 
 
-def phase_equivalent(f: GaussianSum, g: GaussianSum, tol=1e-12) -> bool:
+def phase_equivalent(f: GaussianSum, g: GaussianSum) -> bool:
     """True iff f = e^{i alpha} g for some real alpha, decided algebraically.
 
     Gaussian atoms on distinct (u, b) are linearly independent, so the
@@ -194,6 +201,7 @@ def phase_equivalent(f: GaussianSum, g: GaussianSum, tol=1e-12) -> bool:
     coefficient ratio is one unimodular constant.  No cancellation issues
     for nearly-equal signals, unlike a numeric distance threshold.
     """
+    tol = 1e-12
     if f.is_zero or g.is_zero:
         return f.is_zero and g.is_zero
     kf = {(a.shift, a.modulation): a.coeff for a in f.atoms}

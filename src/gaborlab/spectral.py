@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gabor import bargmann_cs_derivative, bargmann_eval, bargmann_modulus
-from .grid import TFGrid, field_values
+from .grid import TFGrid
 
 DEFAULT_FLOOR_REL = 1e-14
 # bound on ||S u - lambda M u|| / ||M u|| for every pair solve_spectrum returns
@@ -76,9 +76,6 @@ class WeightedDomain:
     def masses(self):
         return self.node_weights() * self.grid.cell_area
 
-    def total_mass(self):
-        return float(self.masses().sum())
-
     def operators(self):
         if self._ops is None:
             self._ops = assemble_operators(self)
@@ -87,13 +84,8 @@ class WeightedDomain:
 
 def build_weighted_domain(mag, p, mask, floor_rel=DEFAULT_FLOOR_REL) -> WeightedDomain:
     """Domain with weight max(|G f|^p, floor_rel * max |G f|^p) on the mask."""
-    if not (0.0 < floor_rel <= 1e-6):
-        raise ValueError("floor_rel must lie in (0, 1e-6]")
-    vals = field_values(mag) ** p
-    floor = floor_rel * float(vals.max())
-    if floor <= 0:
-        raise ValueError("magnitude field is identically zero")
-    return WeightedDomain(mag.grid, mask, np.maximum(vals, floor), float(p), floor)
+    return weighted_domain_from_values(mag.grid, mag.values ** p, mask, floor_rel,
+                                       float(p))
 
 
 def weighted_domain_from_values(grid, values, mask=None, floor_rel=DEFAULT_FLOOR_REL,
@@ -105,6 +97,8 @@ def weighted_domain_from_values(grid, values, mask=None, floor_rel=DEFAULT_FLOOR
     if mask is None:
         mask = np.ones(grid.shape, dtype=bool)
     floor = floor_rel * float(values.max())
+    if floor <= 0:
+        raise ValueError("weight is identically zero")
     return WeightedDomain(grid, mask, np.maximum(values, floor), p_exponent, floor)
 
 
@@ -385,14 +379,14 @@ class CRGradientReport:
     step: float
 
 
-def cr_gradient_check(f, points, step=1e-4, rel_floor=1e-8) -> CRGradientReport:
+def cr_gradient_check(f, points, step=1e-4) -> CRGradientReport:
     """Check |grad |B f|| = |(B f)'| at the given points.
 
     The gradient of the modulus is taken by second-order central differences
     with the given step; the derivative modulus comes from complex-step
     differentiation of the entire closed form.  Points must keep |B f|
     above 1e-8.  Relative errors are reported where the oracle exceeds
-    rel_floor; absolute errors everywhere.
+    1e-8; absolute errors everywhere.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     fd = np.empty(len(pts))
@@ -407,7 +401,7 @@ def cr_gradient_check(f, points, step=1e-4, rel_floor=1e-8) -> CRGradientReport:
         cs[i] = abs(bargmann_cs_derivative(f, z))
     abs_err = np.abs(fd - cs)
     with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.where(cs > rel_floor, abs_err / np.where(cs > rel_floor, cs, 1.0), 0.0)
+        rel = np.where(cs > 1e-8, abs_err / np.where(cs > 1e-8, cs, 1.0), 0.0)
     return CRGradientReport(
         pts, fd, cs, abs_err, rel,
         float(abs_err.max()), float(rel.max()), step,

@@ -42,7 +42,7 @@ def test_cut_validation():
 def test_midpoint_cut_halves_symmetric_mass():
     grid = TFGrid(-3, 3, -1.5, 1.5, 241, 121)
     dom = dumbbell_weight(3.0, 0.1, 0.35, grid)
-    total = dom.total_mass()
+    total = float(dom.masses().sum())
     inside = _vertical_side_masses(dom, 0.0)[0]
     assert abs(inside / total - 0.5) <= 1e-10
 

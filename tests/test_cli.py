@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -59,16 +60,34 @@ def strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
-def test_nan_distance_fails_verify_and_stays_strict_json(tmp_path, capsys):
-    # the hpm coefficients e^{pi/(4a^2)} overflow the Gram sum at a = 0.04,
-    # so d_X2 is NaN: that must not pass the non-equivalence check
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = run(["verify", "--kind", "hpm", "-a", 0.04, "--out-dir", tmp_path])
+def test_nan_distance_fails_verify_and_stays_strict_json(tmp_path, capsys,
+                                                         monkeypatch):
+    # a NaN d_X2 must not pass the non-equivalence check
+    monkeypatch.setattr("gaborlab.counterexamples.signal_phase_distance",
+                        lambda f, g: math.nan)
+    code = run(["verify", "--kind", "hpm", "-a", 0.5, "--out-dir", tmp_path])
     assert code == 3
     assert "non-equivalence FAILED" in capsys.readouterr().out
     rep = strict_json((tmp_path / "verify.json").read_text())
     assert rep["payload"]["passed"] is False
     assert rep["payload"]["d_X2"] == "NaN"
+
+
+@pytest.mark.parametrize("args, d_X2", [
+    # raw coefficient products would underflow to 0 ...
+    (["--gamma", 1e-200, "--noneq-floor", 0], 2.000e-200),
+    # ... or overflow, e^{pi/(4a^2)} squared, to NaN
+    (["--kind", "hpm", "-a", 0.04], 2.159e+213),
+])
+def test_extreme_scale_pairs_verify(tmp_path, capsys, args, d_X2):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["verify", *args, "--out-dir", tmp_path]) == 0
+    assert capsys.readouterr().out.startswith("verified:")
+    rep = strict_json((tmp_path / "verify.json").read_text())
+    assert rep["payload"]["passed"] is True
+    assert math.isfinite(rep["payload"]["d_X2"])
+    assert rep["payload"]["d_X2"] == pytest.approx(d_X2, rel=1e-3)
 
 
 # ---------------------------------------------------------------------------

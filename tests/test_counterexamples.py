@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,6 @@ from gaborlab.counterexamples import (
     pair_magnitude,
     root_set_fpm,
     root_set_pair,
-    rotated_magnitude,
     tilt_magnitude,
     verify_pair,
 )
@@ -295,7 +295,9 @@ def test_tilt_stays_finite_on_wide_grids():
 
 def test_rotation_identity_and_root_rotation():
     pair = make_fpm(0.5, 0.1)
-    mp, mm = rotated_magnitude(pair, 0.0, 0.7, -0.3)
+    unrotated = dataclasses.replace(pair, theta=0.0)
+    mp = pair_magnitude(unrotated, +1, 0.7, -0.3)
+    mm = pair_magnitude(unrotated, -1, 0.7, -0.3)
     assert mp == pytest.approx(pair_magnitude(pair, +1, 0.7, -0.3), rel=1e-14)
     assert mm == pytest.approx(pair_magnitude(pair, -1, 0.7, -0.3), rel=1e-14)
     theta = np.pi / 4

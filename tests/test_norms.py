@@ -141,6 +141,17 @@ def test_alignment_undercuts_a_dense_scan_on_random_pairs(seed, n, p):
     assert val <= (1 + 1e-12) * dense_scan_min(a, b, p, 0.1)
 
 
+def test_alignment_finds_a_minimum_hidden_between_samples():
+    # the deeper minimum, at alpha = 4.47, lies between the samples at 4.19
+    # and 4.71; only the shallower one, at 5.23, has a sample lower than both
+    # its neighbours next to it
+    rng = np.random.default_rng(724359)
+    a, b = rng.standard_normal((2, 21)) + 1j * rng.standard_normal((2, 21))
+    alpha, val = _aligned_phase_min(a, b, 1.125, 0.1)
+    assert abs(alpha - 4.4705) <= 1e-3
+    assert val <= (1 + 1e-12) * dense_scan_min(a, b, 1.125, 0.1)
+
+
 def test_alignment_undercuts_a_dense_scan_on_two_minima():
     # the two-bump pair's objective has two local minima in alpha, neither
     # of them on one of the 12 scan phases

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gaborlab.signals import (
     GaussianAtom,
@@ -85,3 +87,60 @@ def test_translation_moves_atoms():
     assert f.atoms[0].shift == 1.5
     t = np.linspace(-2, 2, 9)
     assert np.allclose(f.evaluate(t), gaussian().evaluate(t - 1.5))
+
+
+# ---------------------------------------------------------------------------
+# properties of the Gaussian-sum algebra
+# ---------------------------------------------------------------------------
+
+# moduli in [0.1, 2]; shifts and modulations on a 1/8 grid, so that no
+# translation by a bounded amount can merge two distinct atoms
+COEFFS = st.builds(lambda r, t: r * complex(math.cos(t), math.sin(t)),
+                   st.floats(0.1, 2.0), st.floats(-math.pi, math.pi))
+NODES = st.integers(-24, 24).map(lambda i: i / 8)
+ATOMS = st.tuples(COEFFS, NODES, NODES)
+SUMS = st.lists(ATOMS, min_size=1, max_size=4,
+                unique_by=lambda atom: atom[1:]).map(GaussianSum)
+
+
+@settings(deadline=None)
+@given(SUMS, SUMS, st.integers(-900, 900))
+def test_phase_distance_is_exactly_scale_covariant(f, g, k):
+    # scaling by a power of two is exact, so the distance must scale with
+    # it bit for bit, even where the squared coefficients leave the double range
+    s = 2.0**k
+    assert signal_phase_distance(s * f, s * g) == s * signal_phase_distance(f, g)
+
+
+@settings(deadline=None)
+@given(SUMS, COEFFS)
+def test_duplicates_merge_and_cancelled_atoms_vanish(f, c):
+    doubled = GaussianSum(f.atoms + f.atoms)
+    assert [(a.shift, a.modulation) for a in doubled.atoms] == [
+        (a.shift, a.modulation) for a in f.atoms]
+    assert [a.coeff for a in doubled.atoms] == [2 * a.coeff for a in f.atoms]
+    assert (f - f).is_zero
+    extra = GaussianSum([(c, 9.0, 9.0)])  # off the node grid of SUMS
+    assert ((f + extra) - extra).atoms == f.atoms
+
+
+@settings(deadline=None)
+@given(SUMS, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+def test_translations_compose(f, u, v):
+    two_steps = f.translated(u).translated(v)
+    one_step = f.translated(u + v)
+    assert len(two_steps) == len(one_step) == len(f)
+    for a, b in zip(two_steps.atoms, one_step.atoms):
+        assert a.modulation == b.modulation
+        assert abs(a.shift - b.shift) <= 1e-12
+        assert abs(a.coeff - b.coeff) <= 1e-12 * abs(b.coeff)
+
+
+@settings(deadline=None)
+@given(SUMS, st.floats(-math.pi, math.pi), ATOMS)
+def test_phase_equivalence_under_unimodular_factors(f, beta, atom):
+    g = f * complex(math.cos(beta), math.sin(beta))
+    assert phase_equivalent(f, g)
+    # an atom on a new (u, b) is linearly independent of f's atoms
+    assume(atom[1:] not in {(a.shift, a.modulation) for a in f.atoms})
+    assert not phase_equivalent(f, g + GaussianSum([atom]))
