@@ -295,14 +295,17 @@ def _build_domain(cfg):
     return build_weighted_domain(mag, cfg["p"], mask, cfg["floor_rel"])
 
 
-def _provenance(domain):
-    return {
+def _provenance(domain, dec=None):
+    prov = {
         "floor_applied": domain.floor_applied,
         "n_nodes": domain.n_nodes,
         "eigenpair_residual_contract": RESIDUAL_CONTRACT,
         "boundary_conditions": "Neumann (weighted 5-point pencil)",
         "poincare_convention": "classical weighted constant, p = 2 spectral route",
     }
+    if dec is not None:
+        prov.update(max_residual=float(dec.residuals.max()), solver_path=dec.path)
+    return prov
 
 
 _SPECTRUM_DEFAULTS = dict(_DOMAIN_DEFAULTS, m=5, out_dir=".")
@@ -314,7 +317,7 @@ def cmd_spectrum(cfg):
     payload = {"eigenvalues": dec.eigenvalues}
     io.write_report(_out(cfg, "spectrum.json"),
                     io.report_envelope("spectrum", cfg, payload,
-                                       _provenance(domain)))
+                                       _provenance(domain, dec)))
     print("eigenvalues:", " ".join(f"{v:.6g}" for v in dec.eigenvalues))
     return 0
 
@@ -329,7 +332,7 @@ def cmd_poincare(cfg):
     payload = {"poincare": est, "lambda_1": float(dec.eigenvalues[1])}
     io.write_report(_out(cfg, "poincare.json"),
                     io.report_envelope("poincare", cfg, payload,
-                                       _provenance(domain)))
+                                       _provenance(domain, dec)))
     print(f"poincare estimate = {est!r}")
     return 0
 
@@ -388,7 +391,7 @@ def cmd_refine(cfg):
     }
     io.write_report(_out(cfg, "refine.json"),
                     io.report_envelope("refine", cfg, payload,
-                                       _provenance(domain)))
+                                       _provenance(domain, dec)))
     return 0 if min(slacks) >= -1e-9 else 4
 
 

@@ -152,6 +152,8 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # columns u_0 .. u_m on the masked nodes
     domain: WeightedDomain
+    residuals: np.ndarray  # ||S u - lambda M u|| / ||M u|| per pair
+    path: str  # "dense" or "shift-invert"
 
     @property
     def m(self):
@@ -164,7 +166,10 @@ def solve_spectrum(domain: WeightedDomain, m: int) -> SpectralDecomposition:
     One LU of S + c M (c from _shift_scale) drives shift-invert Lanczos and
     then two block inverse-iteration steps; a Rayleigh-Ritz projection of the
     pencil onto that block gives the pairs.  When the Lanczos subspace would
-    span every node, the projection is onto all nodes instead: a dense solve.
+    span every node, the pencil is solved densely instead: with
+    D = M^-1/2, the scaled matrix D S D is assembled sparsely and handed to
+    LAPACK's divide-and-conquer eigensolver, and u = D c maps its
+    orthonormal eigenvectors back to mu-orthonormal ones.
     """
     from scipy.linalg import eigh
 
@@ -178,16 +183,20 @@ def solve_spectrum(domain: WeightedDomain, m: int) -> SpectralDecomposition:
     k = m + 4
     ncv = min(max(20, 4 * k), n)
     if ncv == n:
-        # the Krylov subspace would cover every node: project onto all of
-        # them, mass-scaled so that the basis is mu-orthonormal and the
-        # projected pencil is (M^-1/2 S M^-1/2, I), a standard problem
-        basis, gram = np.diag(1.0 / np.sqrt(mass)), None
+        # the Krylov subspace would cover every node; Fortran order lets
+        # LAPACK overwrite A instead of copying it
+        path = "dense"
+        d = 1.0 / np.sqrt(mass)
+        A = S.multiply(d[None, :]).multiply(d[:, None]).toarray(order="F")
+        lam, C = eigh(A, overwrite_a=True, driver="evd")
+        U = np.multiply(d[:, None], C[:, : m + 1], order="C")
     else:
+        path = "shift-invert"
         basis = _shift_invert_basis(domain, S, mass, k, ncv)
         gram = (basis.T * mass) @ basis
-
-    lam, C = eigh(basis.T @ (S @ basis), gram, overwrite_a=True)
-    lam, U = lam[: m + 1], basis @ C[:, : m + 1]
+        lam, C = eigh(basis.T @ (S @ basis), gram, overwrite_a=True)
+        U = basis @ C[:, : m + 1]
+    lam = lam[: m + 1]
     if U[:, 0].sum() < 0:
         U[:, 0] = -U[:, 0]
 
@@ -196,7 +205,8 @@ def solve_spectrum(domain: WeightedDomain, m: int) -> SpectralDecomposition:
         raise SolverConvergenceError(
             "eigenpair residuals exceed tolerance", residuals
         )
-    return SpectralDecomposition(np.asarray(lam, dtype=float), U, domain)
+    return SpectralDecomposition(np.asarray(lam, dtype=float), U, domain,
+                                 residuals, path)
 
 
 def _shift_invert_basis(domain, S, mass, k, ncv):
@@ -249,11 +259,16 @@ def _shift_scale(domain, S, mass):
 
 
 def _residual_norms(S, mass, lam, U):
+    # a block of columns at a time: one sparse product per block, while the
+    # temporaries stay at n x block however many pairs there are
+    block = 64
     res = np.empty(len(lam))
-    for k in range(len(lam)):
-        u = U[:, k]
-        r = S @ u - lam[k] * (mass * u)
-        res[k] = np.linalg.norm(r) / max(np.linalg.norm(mass * u), 1e-300)
+    for lo in range(0, len(lam), block):
+        cols = slice(lo, lo + block)
+        MU = mass[:, None] * U[:, cols]
+        R = S @ U[:, cols] - MU * lam[cols]
+        res[cols] = (np.linalg.norm(R, axis=0)
+                     / np.maximum(np.linalg.norm(MU, axis=0), 1e-300))
     return res
 
 
@@ -300,7 +315,8 @@ def refinement_check(dec: SpectralDecomposition, h, k: int) -> RefinementReport:
 
     lhs = int h^2 dmu; rhs = (h, u_0)^2 + (1/lambda_1) ||grad pi_k h||^2
     + (1/lambda_{k+1}) int |grad h|^2 dmu; slack = rhs - lhs must be
-    nonnegative up to rounding.
+    nonnegative up to rounding.  Only the coefficients (h, u_j)_mu for
+    j <= k are formed, however many pairs dec holds.
     """
     if not (1 <= k < dec.m):
         raise ValueError("k must satisfy 1 <= k < m")
@@ -309,8 +325,9 @@ def refinement_check(dec: SpectralDecomposition, h, k: int) -> RefinementReport:
     h = np.asarray(h, dtype=float)
     if h.shape == domain.grid.shape:
         h = h[domain.mask]
-    lhs = float(h @ (mass * h))
-    coeffs = dec.eigenvectors.T @ (mass * h)
+    mh = mass * h
+    lhs = float(h @ mh)
+    coeffs = dec.eigenvectors[:, : k + 1].T @ mh
     mean_term = float(coeffs[0] ** 2)
     proj = dec.eigenvectors[:, 1 : k + 1] @ coeffs[1 : k + 1]
     mid_term = float(proj @ (S @ proj)) / dec.eigenvalues[1]

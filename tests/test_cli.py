@@ -242,6 +242,19 @@ def test_refine_command(tmp_path):
     assert rep["payload"]["min_relative_slack"] >= -1e-9
 
 
+@pytest.mark.parametrize("args, path", [
+    (["spectrum", "-n", 41], "shift-invert"),
+    (["spectrum", "-R", 2.0, "-n", 7, "-m", 4], "dense"),
+    (["poincare", "-n", 41], "shift-invert"),
+    (["refine", "-n", 41, "--n-fields", 3], "shift-invert"),
+])
+def test_spectral_reports_record_the_solve(tmp_path, args, path):
+    assert run([*args, "--out-dir", tmp_path]) == 0
+    prov = json.loads((tmp_path / f"{args[0]}.json").read_text())["provenance"]
+    assert prov["solver_path"] == path
+    assert 0.0 <= prov["max_residual"] <= prov["eigenpair_residual_contract"]
+
+
 def test_cheeger_command(tmp_path):
     assert run(["cheeger", "--weight", "fpm", "-a", 0.5, "--gamma", 1.0,
                 "-R", 4.0, "-n", 61, "--out-dir", tmp_path]) == 0

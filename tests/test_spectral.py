@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh
 
 from gaborlab.cli import main
@@ -15,7 +17,9 @@ from gaborlab.gabor import gabor_magnitude_field
 from gaborlab.grid import TFGrid, disk_mask
 from gaborlab.signals import gaussian
 from gaborlab.spectral import (
+    RESIDUAL_CONTRACT,
     SolverConvergenceError,
+    _residual_norms,
     assemble_operators,
     build_weighted_domain,
     cr_gradient_check,
@@ -48,6 +52,12 @@ SOLVER_DOMAINS = {
     "gaussian61": lambda: gaussian_disk_domain(61, 3.0),
     "fpm55_floored": floored_fpm_disk_domain,
 }
+
+
+def full_basis_domain():
+    grid = TFGrid(-2.0, 2.0, -1.0, 1.0, 29, 15)  # 435 nodes
+    X, W = grid.mesh()
+    return weighted_domain_from_values(grid, np.exp(-(X**2 + W**2)))
 
 
 def uniform_square_domain(n, side=1.0):
@@ -200,6 +210,46 @@ def test_dense_and_iterative_paths_agree():
     S, m = assemble_operators(dom)
     dense = eigh(S.toarray(), np.diag(m), eigvals_only=True, subset_by_index=(0, 3))
     assert np.max(np.abs(dense - iterative)) <= 1e-8 * max(dense.max(), 1.0)
+
+
+def reference_refinement(dec, h, k):
+    # the refinement formula with every coefficient (h, u_j)_mu formed
+    S, mass = assemble_operators(dec.domain)
+    lhs = float(h @ (mass * h))
+    coeffs = dec.eigenvectors.T @ (mass * h)
+    mean_term = float(coeffs[0] ** 2)
+    proj = dec.eigenvectors[:, 1 : k + 1] @ coeffs[1 : k + 1]
+    mid_term = float(proj @ (S @ proj)) / dec.eigenvalues[1]
+    tail_term = float(h @ (S @ h)) / dec.eigenvalues[k + 1]
+    return lhs, mean_term, mid_term, tail_term, mean_term + mid_term + tail_term - lhs
+
+
+def test_dense_branch_matches_shift_invert_and_meets_contract():
+    dom = full_basis_domain()
+    n = dom.n_nodes
+    dense, iterative = solve_spectrum(dom, n - 1), solve_spectrum(dom, 5)
+    assert (dense.path, iterative.path) == ("dense", "shift-invert")
+    lam, U = dense.eigenvalues, dense.eigenvectors
+    assert np.all(np.abs(lam[:6] - iterative.eigenvalues)
+                  <= 1e-8 * np.maximum(lam[:6], 1.0))
+    S, m = assemble_operators(dom)
+    per_pair = np.array([
+        np.linalg.norm(S @ U[:, j] - lam[j] * (m * U[:, j])) / np.linalg.norm(m * U[:, j])
+        for j in range(n)
+    ])
+    assert per_pair.max() <= RESIDUAL_CONTRACT
+    # 435 columns cross six 64-column block edges
+    blocked = _residual_norms(S, m, lam, U)
+    np.testing.assert_allclose(blocked, per_pair, rtol=1e-12)
+    np.testing.assert_array_equal(dense.residuals, blocked)
+    assert np.max(np.abs((U.T * m) @ U - np.eye(n))) <= 1e-8
+    rng = np.random.default_rng(37)
+    for k in (1, 2, 3, n - 2):
+        h = rng.standard_normal(n)
+        rep = refinement_check(dense, h, k)
+        ref = reference_refinement(dense, h, k)
+        got = (rep.lhs, rep.mean_term, rep.mid_term, rep.tail_term, rep.slack)
+        assert got == pytest.approx(ref, rel=1e-12, abs=1e-12 * ref[0])
 
 
 def test_shift_invert_solve_is_reproducible():
@@ -379,10 +429,7 @@ def test_refinement_k_range_validated():
 
 
 def test_full_basis_parseval():
-    grid = TFGrid(-2.0, 2.0, -1.0, 1.0, 29, 15)  # 435 nodes
-    X, W = grid.mesh()
-    vals = np.exp(-(X**2 + W**2))
-    dom = weighted_domain_from_values(grid, vals)
+    dom = full_basis_domain()
     n = dom.n_nodes
     dec = solve_spectrum(dom, n - 1)
     _, m = assemble_operators(dom)
@@ -391,6 +438,111 @@ def test_full_basis_parseval():
         h = rng.standard_normal(n)
         coeffs = dec.eigenvectors.T @ (m * h)
         assert np.sum(coeffs**2) == pytest.approx(float(h @ (m * h)), rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# solver invariants on random small domains
+# ---------------------------------------------------------------------------
+
+# node-weight spread max w / min w up to which every solve must meet the
+# contract; beyond it a SolverConvergenceError is the accepted outcome
+SOLVABLE_SPREAD = 1e8
+# below every floor small_domains draws: rebuilt weights keep their values
+NO_FLOOR = 1e-46
+
+
+@st.composite
+def small_domains(draw):
+    """Grown 4-connected mask of 3 to 300 nodes on a symmetric grid, weighted
+    by one Gaussian bump and floored at 1e-45 to 1e-6 of its maximum."""
+    nx, nw = draw(st.integers(2, 20)), draw(st.integers(2, 20))
+    step = draw(st.floats(0.1, 0.3))
+    half_x, half_w = step * (nx - 1) / 2.0, step * (nw - 1) / 2.0
+    grid = TFGrid(-half_x, half_x, -half_w, half_w, nx, nw)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.integers(3, min(nx * nw, 300)))
+    mask = np.zeros(grid.shape, bool)
+    mask[rng.integers(nx), rng.integers(nw)] = True
+    while mask.sum() < size:
+        grow = np.zeros_like(mask)
+        grow[1:] |= mask[:-1]
+        grow[:-1] |= mask[1:]
+        grow[:, 1:] |= mask[:, :-1]
+        grow[:, :-1] |= mask[:, 1:]
+        frontier = np.argwhere(grow & ~mask)
+        mask[tuple(frontier[rng.integers(len(frontier))])] = True
+    X, W = grid.mesh()
+    cx, cw = draw(st.floats(-half_x, half_x)), draw(st.floats(-half_w, half_w))
+    values = np.exp(-math.pi * draw(st.floats(0.1, 2.0)) * ((X - cx) ** 2 + (W - cw) ** 2))
+    floor_rel = 10.0 ** draw(st.floats(-45.0, -6.0))
+    return weighted_domain_from_values(grid, values, mask, floor_rel)
+
+
+def pair_count(dom, m):
+    # up to max(20, 4 (m + 4)) nodes take the dense branch: 24 at m = 2, 48 at m = 8
+    return min(m, dom.n_nodes - 1)
+
+
+def solve_or_none(dom, m):
+    try:
+        return solve_spectrum(dom, m)
+    except SolverConvergenceError:
+        w = dom.node_weights()
+        assert w.max() / w.min() > SOLVABLE_SPREAD
+        return None
+
+
+def assert_same_spectrum(dec_a, dec_b):
+    a, b = dec_a.eigenvalues, dec_b.eigenvalues
+    assert np.all(np.abs(a - b) <= 1e-8 * np.maximum(np.abs(a), 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_domains(), st.integers(2, 8))
+def test_solver_pairs_are_ordered_orthonormal_and_within_contract(dom, m):
+    m = pair_count(dom, m)
+    dec = solve_or_none(dom, m)
+    assume(dec is not None)
+    lam, U = dec.eigenvalues, dec.eigenvectors
+    S, mass = assemble_operators(dom)
+    MU = mass[:, None] * U
+    residuals = np.linalg.norm(S @ U - MU * lam, axis=0) / np.linalg.norm(MU, axis=0)
+    assert np.all(np.diff(lam) >= 0)
+    assert residuals.max() <= RESIDUAL_CONTRACT
+    assert np.max(np.abs(U.T @ MU - np.eye(m + 1))) <= 1e-8
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_domains(), st.integers(2, 8), st.integers(-300, 300))
+def test_spectrum_is_invariant_under_power_of_two_weight_scaling(dom, m, k):
+    m = pair_count(dom, m)
+    scaled = weighted_domain_from_values(dom.grid, np.ldexp(dom.weight, k), dom.mask,
+                                         floor_rel=NO_FLOOR)
+    a, b = solve_or_none(dom, m), solve_or_none(scaled, m)
+    assume(a is not None and b is not None)
+    assert_same_spectrum(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_domains(), st.integers(2, 8), st.sampled_from([0, 1]))
+def test_spectrum_is_invariant_under_mirroring(dom, m, axis):
+    m = pair_count(dom, m)
+    mirrored = weighted_domain_from_values(dom.grid, np.flip(dom.weight, axis),
+                                           np.flip(dom.mask, axis), floor_rel=NO_FLOOR)
+    a, b = solve_or_none(dom, m), solve_or_none(mirrored, m)
+    assume(a is not None and b is not None)
+    assert_same_spectrum(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_domains(), st.floats(0.0, 0.9), st.integers(0, 2**32 - 1))
+def test_poincare_ratio_within_weight_ratio_bounds(dom, eps, seed):
+    wobble = np.random.default_rng(seed).uniform(-1.0, 1.0, dom.grid.shape)
+    varied = weighted_domain_from_values(dom.grid, dom.weight * (1.0 + eps * wobble),
+                                         dom.mask, floor_rel=NO_FLOOR)
+    assume(solve_or_none(dom, 2) is not None and solve_or_none(varied, 2) is not None)
+    rep = variation_bound_check(dom, varied)
+    assert rep.spectral_ok and rep.paper_ok
 
 
 # ---------------------------------------------------------------------------
