@@ -168,8 +168,10 @@ def solve_spectrum(domain: WeightedDomain, m: int) -> SpectralDecomposition:
     pencil onto that block gives the pairs.  When the Lanczos subspace would
     span every node, the pencil is solved densely instead: with
     D = M^-1/2, the scaled matrix D S D is assembled sparsely and handed to
-    LAPACK's divide-and-conquer eigensolver, and u = D c maps its
-    orthonormal eigenvectors back to mu-orthonormal ones.
+    LAPACK's relatively robust representation eigensolver (syevr), and
+    u = D c maps its orthonormal eigenvectors back to mu-orthonormal ones.
+    syevr rather than the faster divide-and-conquer syevd: on strongly
+    graded weights syevd misses the residual contract where syevr meets it.
     """
     from scipy.linalg import eigh
 
@@ -188,7 +190,7 @@ def solve_spectrum(domain: WeightedDomain, m: int) -> SpectralDecomposition:
         path = "dense"
         d = 1.0 / np.sqrt(mass)
         A = S.multiply(d[None, :]).multiply(d[:, None]).toarray(order="F")
-        lam, C = eigh(A, overwrite_a=True, driver="evd")
+        lam, C = eigh(A, overwrite_a=True, driver="evr")
         U = np.multiply(d[:, None], C[:, : m + 1], order="C")
     else:
         path = "shift-invert"
