@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage/validation error, 2 lattice agreement
-failure, 3 non-equivalence failure, 4 solver failure.  Every report embeds
+failure, 3 non-equivalence failure, 4 solver failure (the command's report
+is still written, with the failure as its payload).  Every report embeds
 the fully resolved configuration; CSV/PGM outputs are byte-deterministic
 for identical configurations.
 """
@@ -412,7 +413,9 @@ def cmd_cheeger(cfg):
         rmax = min(grid.x_max, grid.w_max)
         family = circle_cut_family(rmax / cfg["cut_count"], rmax * 0.98,
                                    cfg["cut_count"])
-    report = cheeger_upper_bound(domain, family, chain_slack=cfg["chain_slack"])
+    dec = solve_spectrum(domain, 2)
+    report = cheeger_upper_bound(domain, family, chain_slack=cfg["chain_slack"],
+                                 decomposition=dec)
     payload = {
         "best_cut": {"kind": report.best_cut.kind,
                      "parameter": report.best_cut.parameter},
@@ -425,7 +428,7 @@ def cmd_cheeger(cfg):
     }
     io.write_report(_out(cfg, "cheeger.json"),
                     io.report_envelope("cheeger", cfg, payload,
-                                       _provenance(domain)))
+                                       _provenance(domain, dec)))
     return 0
 
 
@@ -580,14 +583,30 @@ def _resolve(table, path, given):
     return {**table, **_PRESETS.get(preset, {}), **loaded, **given}
 
 
+def _write_solver_failure(command, cfg, exc):
+    """The command's report for a solve that failed; residuals is None
+    when ARPACK failed before any pair was checked."""
+    payload = {"status": "solver_failure", "message": str(exc),
+               "residuals": exc.residuals}
+    io.write_report(_out(cfg, f"{command}.json"),
+                    io.report_envelope(command, cfg, payload, {
+                        "eigenpair_residual_contract": RESIDUAL_CONTRACT}))
+
+
 def main(argv=None):
     args = vars(build_parser().parse_args(argv))
-    func, table = _COMMANDS[args.pop("command")]
+    command = args.pop("command")
+    func, table = _COMMANDS[command]
     path = args.pop("config", None)
     try:
-        return func(_resolve(table, path, args))
+        cfg = _resolve(table, path, args)
+        return func(cfg)
     except SolverConvergenceError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
+        try:
+            _write_solver_failure(command, cfg, exc)
+        except OSError as err:
+            print(f"error: {err}", file=sys.stderr)
         return 4
     # lattice mismatches, inadmissible cuts and bad JSON are ValueErrors too
     except (ValueError, OSError) as exc:

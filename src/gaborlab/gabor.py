@@ -88,8 +88,19 @@ def gabor_quadrature_oracle(f: GaussianSum, x, w, step=1e-2):
 
 
 def gabor_field(f: GaussianSum, grid: TFGrid) -> ComplexField:
-    """G f sampled on every grid node, row-major with omega fastest."""
-    return ComplexField(grid, gabor_eval(f, grid.x_nodes()[:, None], grid.w_nodes()[None, :]))
+    """G f sampled on every grid node, row-major with omega fastest.
+
+    The signal keeps the field of the last grid it was evaluated on, so a
+    repeat call on an equal grid returns that same field.  Its values are
+    read-only: signals and grids are immutable, and so is their field.
+    """
+    memo = f._field
+    if memo is not None and memo.grid == grid:
+        return memo
+    field = ComplexField(grid, gabor_eval(f, grid.x_nodes()[:, None], grid.w_nodes()[None, :]))
+    field.values.flags.writeable = False
+    f._field = field
+    return field
 
 
 def gabor_magnitude_field(f: GaussianSum, grid: TFGrid) -> MagnitudeField:

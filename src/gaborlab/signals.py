@@ -36,10 +36,11 @@ class GaussianSum:
     """Finite ordered sum of GaussianAtoms; duplicates on (u, b) are merged.
 
     The empty sum is the zero signal.  Instances are immutable; algebraic
-    operations return new sums.
+    operations return new sums.  _field holds the Gabor field of the last
+    grid the sum was evaluated on (see gabor.gabor_field).
     """
 
-    __slots__ = ("atoms", "_coeffs", "_shifts")
+    __slots__ = ("atoms", "_coeffs", "_shifts", "_field")
 
     def __init__(self, atoms=()):
         merged: dict[tuple[float, float], complex] = {}
@@ -58,6 +59,7 @@ class GaussianSum:
         self.atoms = tuple(GaussianAtom(c, u, b) for c, u, b in kept)
         self._coeffs = np.array([a.coeff for a in self.atoms], dtype=complex)
         self._shifts = np.array([a.shift for a in self.atoms], dtype=float)
+        self._field = None
 
     # -- array views used by the transform code ---------------------------
     @property

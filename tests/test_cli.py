@@ -247,12 +247,28 @@ def test_refine_command(tmp_path):
     (["spectrum", "-R", 2.0, "-n", 7, "-m", 4], "dense"),
     (["poincare", "-n", 41], "shift-invert"),
     (["refine", "-n", 41, "--n-fields", 3], "shift-invert"),
+    (["cheeger", "-n", 41], "shift-invert"),
 ])
 def test_spectral_reports_record_the_solve(tmp_path, args, path):
     assert run([*args, "--out-dir", tmp_path]) == 0
     prov = json.loads((tmp_path / f"{args[0]}.json").read_text())["provenance"]
     assert prov["solver_path"] == path
     assert 0.0 <= prov["max_residual"] <= prov["eigenpair_residual_contract"]
+
+
+def test_solver_failure_exits_4_with_a_report(tmp_path, capsys):
+    # the default Gaussian on 29 nodes spans 14 decades of weight, and its
+    # dense solve misses the residual contract
+    assert run(["spectrum", "-n", 7, "-m", 4, "--out-dir", tmp_path]) == 4
+    assert "solver failure" in capsys.readouterr().err
+    rep = json.loads((tmp_path / "spectrum.json").read_text())
+    assert rep["command"] == "spectrum"
+    assert rep["config"]["n"] == 7 and rep["config"]["m"] == 4
+    payload = rep["payload"]
+    assert payload["status"] == "solver_failure"
+    assert "residuals exceed" in payload["message"]
+    assert len(payload["residuals"]) == 5
+    assert max(payload["residuals"]) > rep["provenance"]["eigenpair_residual_contract"]
 
 
 def test_cheeger_command(tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaborlab.counterexamples import make_hpm
 from gaborlab.gabor import (
@@ -105,6 +107,57 @@ def test_field_equals_eval_on_mesh_bit_for_bit():
     for sig in (pair.plus, pair.minus, random_sum(np.random.default_rng(3))):
         field = gabor_field(sig, grid).values
         assert field.tobytes() == gabor_eval(sig, *grid.mesh()).tobytes()
+
+
+def test_field_memo_returns_the_same_field_for_an_equal_grid():
+    sig = random_sum(np.random.default_rng(5))
+    first = gabor_field(sig, TFGrid(-2, 2, -1, 3, 21, 17))
+    assert gabor_field(sig, TFGrid(-2.0, 2.0, -1.0, 3.0, 21, 17)) is first
+
+
+def test_field_memo_holds_only_the_last_grid():
+    sig = random_sum(np.random.default_rng(8))
+    grid, other = TFGrid(-2, 2, -2, 2, 21, 17), TFGrid(-2, 2, -2, 2, 21, 19)
+    first = gabor_field(sig, grid)
+    second = gabor_field(sig, other)
+    assert second.grid == other and second.values.shape == (21, 19)
+    assert gabor_field(sig, other) is second
+    again = gabor_field(sig, grid)
+    assert again is not first
+    assert again.values.tobytes() == first.values.tobytes()
+
+
+def test_field_values_are_read_only():
+    field = gabor_field(gaussian(), TFGrid(-1, 1, -1, 1, 5, 5))
+    with pytest.raises(ValueError):
+        field.values[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        field.values *= 2.0
+
+
+@st.composite
+def small_grids(draw):
+    x0, w0 = draw(st.floats(-4.0, 3.0)), draw(st.floats(-4.0, 3.0))
+    return TFGrid(x0, x0 + draw(st.floats(0.1, 4.0)), w0, w0 + draw(st.floats(0.1, 4.0)),
+                  draw(st.integers(2, 25)), draw(st.integers(2, 25)))
+
+
+ATOMS = st.lists(st.tuples(st.complex_numbers(min_magnitude=1e-3, max_magnitude=10.0),
+                           st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+                 min_size=1, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ATOMS, small_grids(), small_grids(), st.lists(st.integers(0, 1), min_size=2, max_size=6))
+def test_memoized_field_equals_eval_on_the_nodes(atoms, grid_a, grid_b, order):
+    sig, grids = GaussianSum(atoms), (grid_a, grid_b)
+    prev = None
+    for i in order:
+        field = gabor_field(sig, grids[i])
+        assert field.values.tobytes() == gabor_eval(sig, *grids[i].mesh()).tobytes()
+        if prev is not None and prev.grid == grids[i]:
+            assert field is prev
+        prev = field
 
 
 def test_empty_signal_field():

@@ -167,6 +167,25 @@ def test_alignment_undercuts_a_dense_scan_on_two_minima():
     assert val <= (1 + 1e-12) * dense_scan_min(a, b, p, area)
 
 
+@pytest.mark.parametrize("make", [lambda: make_fpm(0.5, 0.1), lambda: make_hpm(0.75)])
+def test_probe_and_distance_do_not_depend_on_a_warm_memo(make):
+    grid = TFGrid(-3, 3, -3, 3, 41, 41)
+    mask = disk_mask(grid, 3.0)
+    analyses = (
+        lambda pair: stability_probe(pair.plus, pair.minus, mask, grid, 1.5, 4.0),
+        lambda pair: global_phase_distance(pair.plus, pair.minus, grid, 1.5),
+        lambda pair: global_phase_distance(pair.plus, pair.minus, grid, 2.0),
+    )
+    for analysis in analyses:
+        cold = analysis(make())
+        # warm on the same grid, and on another grid whose field must be replaced
+        for warm_grid in (grid, TFGrid(-3, 3, -3, 3, 31, 31)):
+            pair = make()
+            for sig in (pair.plus, pair.minus):
+                gabor_field(sig, warm_grid)
+            assert analysis(pair) == cold
+
+
 def test_probe_alignment_evaluation_budget(monkeypatch):
     # the default probe case; each objective evaluation takes one scalar
     # np.exp, while the field evaluations take array ones

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -287,6 +288,10 @@ def test_arpack_failure_is_a_solver_error(monkeypatch, tmp_path):
     assert info.value.residuals is None
     assert main(["spectrum", "-n", "21", "-R", "2.0", "-m", "3",
                  "--out-dir", str(tmp_path)]) == 4
+    payload = json.loads((tmp_path / "spectrum.json").read_text())["payload"]
+    assert payload["status"] == "solver_failure"
+    assert "1 converged" in payload["message"]
+    assert payload["residuals"] is None
 
 
 def test_import_loads_no_scipy_until_a_solve():
