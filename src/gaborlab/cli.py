@@ -296,17 +296,31 @@ def _build_domain(cfg):
     return build_weighted_domain(mag, cfg["p"], mask, cfg["floor_rel"])
 
 
-def _provenance(domain, dec=None):
-    prov = {
+def _domain_record(domain, dec=None):
+    """The domain's size and weight-floor engagement, and the solve on it
+    when given: the nodes whose weight sits at floor_applied and their
+    share of the domain's mass."""
+    weights = domain.node_weights()
+    floored = weights == domain.floor_applied
+    rec = {
         "floor_applied": domain.floor_applied,
         "n_nodes": domain.n_nodes,
+        "floor_nodes": int(floored.sum()),
+        "floor_node_share": float(floored.mean()),
+        "floor_mass_share": float(weights[floored].sum() / weights.sum()),
+    }
+    if dec is not None:
+        rec.update(max_residual=float(dec.residuals.max()), solver_path=dec.path)
+    return rec
+
+
+def _provenance(domain, dec=None):
+    return {
+        **_domain_record(domain, dec),
         "eigenpair_residual_contract": RESIDUAL_CONTRACT,
         "boundary_conditions": "Neumann (weighted 5-point pencil)",
         "poincare_convention": "classical weighted constant, p = 2 spectral route",
     }
-    if dec is not None:
-        prov.update(max_residual=float(dec.residuals.max()), solver_path=dec.path)
-    return prov
 
 
 _SPECTRUM_DEFAULTS = dict(_DOMAIN_DEFAULTS, m=5, out_dir=".")
@@ -361,9 +375,11 @@ def cmd_variation(cfg):
         "spectral_bounds": [report.spectral_lower, report.spectral_upper],
         "paper_ok": report.paper_ok, "spectral_ok": report.spectral_ok,
     }
+    # the base domain's record at the top level, as in the other reports
+    prov = _provenance(dom_a, report.decomposition_a)
+    prov["varied"] = _domain_record(dom_b, report.decomposition_b)
     io.write_report(_out(cfg, "variation.json"),
-                    io.report_envelope("variation", cfg, payload,
-                                       _provenance(dom_a)))
+                    io.report_envelope("variation", cfg, payload, prov))
     return 0 if (report.paper_ok and report.spectral_ok) else 4
 
 

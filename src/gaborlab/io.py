@@ -12,6 +12,8 @@ import datetime
 import json
 import math
 import os
+import platform
+import sys
 import tempfile
 
 import numpy as np
@@ -138,9 +140,14 @@ def _encode_nonfinite(obj):
 
 def report_envelope(command, config, payload, provenance=None):
     """Report with the full resolved config echoed; keys are sorted on write."""
+    libraries = {"python": platform.python_version(), "numpy": np.__version__}
+    # scipy only once loaded: a command that solves no spectrum never imports it
+    if "scipy" in sys.modules:
+        libraries["scipy"] = sys.modules["scipy"].__version__
     return {
         "tool": TOOL_NAME,
         "version": __version__,
+        "libraries": libraries,
         "command": command,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "config": config,

@@ -116,11 +116,20 @@ def _aligned_phase_min(a, b, p, area, tol=1e-10):
     can hide just outside that bracket, so each gap beyond a neighbour that
     is lower than the sample past it, and where the objective descends away
     from the low sample, is refined too.  The best sample or refinement
-    wins, the first found on ties."""
+    wins, the first found on ties.
+
+    Each evaluation reuses one complex and one real work array and applies
+    the same ufuncs to the same operands as the plain expression
+    sum(|a - e^{-i alpha} b|**p), so its value keeps every bit."""
+    c = np.empty(a.shape, dtype=complex)
+    r = np.empty(a.shape)
 
     def objective(alpha):
-        diff = np.abs(a - np.exp(-1j * alpha) * b)
-        return float(np.sum(diff**p)) * area
+        np.multiply(np.exp(-1j * alpha), b, out=c)
+        np.subtract(a, c, out=c)
+        mag = np.abs(c, out=r)
+        mag **= p  # ndarray.__pow__ keeps its scalar fast paths (p = 1, 2)
+        return float(np.sum(mag)) * area
 
     step = 2.0 * math.pi / _SCAN
     vals = [objective(k * step) for k in range(_SCAN)]
@@ -187,6 +196,10 @@ def measurement_norm_D(
 
     Derivatives (k = 1) use central differences, second-order one-sided at
     the grid boundary; k must be 0 or 1.
+
+    The field must be real-valued: real-typed, or complex-typed with an
+    imaginary part that is identically zero.  The norm is computed in real
+    arithmetic.
     """
     del q  # recorded by callers, never used in the value
     if k not in (0, 1):
@@ -197,6 +210,11 @@ def measurement_norm_D(
     if hasattr(weight, "grid"):
         require_same_grid(field, weight)
     vals = field.values
+    if np.iscomplexobj(vals):
+        if np.any(vals.imag):
+            raise ValueError("measurement_norm_D needs a real-valued field; "
+                             "this one has a nonzero imaginary part")
+        vals = vals.real
 
     def cell_lp(arr, w=None):
         integrand = np.abs(arr) ** p if w is None else np.abs(arr) ** p * w
@@ -211,8 +229,8 @@ def measurement_norm_D(
         fx, fw = np.gradient(vals, grid.dx, grid.dw, edge_order=2)
         sobolev = (lp_pow + cell_lp(fx) + cell_lp(fw)) ** (1.0 / p)
 
-    X, W = grid.mesh()
-    moment_factor = (np.abs(X) + np.abs(W)) ** s
+    # (|x| + |w|)^s from the node axes by broadcasting: no mesh arrays
+    moment_factor = (np.abs(grid.x_nodes())[:, None] + np.abs(grid.w_nodes())) ** s
     moment_pow = cell_lp(moment_factor * vals, field_values(weight))
     moment = moment_pow ** (1.0 / p) if consistent_powers else moment_pow
 

@@ -353,6 +353,9 @@ class VariationReport:
     spectral_upper: float
     paper_ok: bool
     spectral_ok: bool
+    # the two solves behind constant_a and constant_b
+    decomposition_a: SpectralDecomposition = field(repr=False)
+    decomposition_b: SpectralDecomposition = field(repr=False)
 
 
 def variation_bound_check(dA: WeightedDomain, dB: WeightedDomain, p=2.0,
@@ -369,8 +372,8 @@ def variation_bound_check(dA: WeightedDomain, dB: WeightedDomain, p=2.0,
         raise ValueError("domains must share grid and mask")
     r = dB.node_weights() / dA.node_weights()
     A, B = float(r.min()), float(r.max())
-    Ca = poincare_estimate(solve_spectrum(dA, m))
-    Cb = poincare_estimate(solve_spectrum(dB, m))
+    dec_a, dec_b = solve_spectrum(dA, m), solve_spectrum(dB, m)
+    Ca, Cb = poincare_estimate(dec_a), poincare_estimate(dec_b)
     ratio = Cb / Ca
     paper_lo = (A / B) ** (1.0 / p) / 2.0
     paper_hi = 2.0 * (B / A) ** (1.0 / p)
@@ -381,6 +384,7 @@ def variation_bound_check(dA: WeightedDomain, dB: WeightedDomain, p=2.0,
         A, B, Ca, Cb, ratio, paper_lo, paper_hi, spec_lo, spec_hi,
         paper_ok=bool(paper_lo * (1 - tol) <= ratio <= paper_hi * (1 + tol)),
         spectral_ok=bool(spec_lo * (1 - tol) <= ratio <= spec_hi * (1 + tol)),
+        decomposition_a=dec_a, decomposition_b=dec_b,
     )
 
 

@@ -1,7 +1,12 @@
 import argparse
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,12 +253,54 @@ def test_refine_command(tmp_path):
     (["poincare", "-n", 41], "shift-invert"),
     (["refine", "-n", 41, "--n-fields", 3], "shift-invert"),
     (["cheeger", "-n", 41], "shift-invert"),
+    (["variation", "-n", 41], "shift-invert"),
 ])
 def test_spectral_reports_record_the_solve(tmp_path, args, path):
     assert run([*args, "--out-dir", tmp_path]) == 0
     prov = json.loads((tmp_path / f"{args[0]}.json").read_text())["provenance"]
-    assert prov["solver_path"] == path
-    assert 0.0 <= prov["max_residual"] <= prov["eigenpair_residual_contract"]
+    # variation solves the base domain (top level) and the varied one
+    for rec in [prov] + ([prov["varied"]] if args[0] == "variation" else []):
+        assert rec["solver_path"] == path
+        assert 0.0 <= rec["max_residual"] <= prov["eigenpair_residual_contract"]
+        assert rec["n_nodes"] == prov["n_nodes"]
+
+
+@pytest.mark.parametrize("args, floored, mass_share", [
+    # 36% of the default Gaussian disk's nodes sit at the 1e-14 floor
+    ([], 2800, 1.792e-13),
+    (["--weight", "dumbbell"], 0, 0.0),
+])
+def test_spectral_reports_record_the_floor_engagement(tmp_path, args, floored, mass_share):
+    assert run(["poincare", *args, "--out-dir", tmp_path]) == 0
+    prov = json.loads((tmp_path / "poincare.json").read_text())["provenance"]
+    assert prov["floor_nodes"] == floored
+    assert prov["floor_node_share"] == floored / prov["n_nodes"]
+    assert prov["floor_mass_share"] == pytest.approx(mass_share, rel=1e-3, abs=0.0)
+
+
+def test_reports_carry_the_library_versions(tmp_path):
+    # a fresh process, so that scipy is loaded only by the spectrum solve
+    # that follows verify; verify's report must not name it
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "from gaborlab.cli import main\n"
+        f"out = {str(tmp_path)!r}\n"
+        "assert main(['verify', '--out-dir', out]) == 0\n"
+        "assert main(['spectrum', '-n', '41', '--out-dir', out]) == 0\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    import scipy
+
+    base = {"python": platform.python_version(), "numpy": np.__version__}
+    verify = json.loads((tmp_path / "verify.json").read_text())
+    assert verify["libraries"] == base
+    spectrum = json.loads((tmp_path / "spectrum.json").read_text())
+    assert spectrum["libraries"] == dict(base, scipy=scipy.__version__)
 
 
 def test_solver_failure_exits_4_with_a_report(tmp_path, capsys):

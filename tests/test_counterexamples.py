@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaborlab.counterexamples import (
+    AGREEMENT,
     Lattice,
     LatticeMismatchError,
     fpm_magnitude_closed,
@@ -387,3 +390,23 @@ def test_sweep_all_kinds():
                               Lattice("vertical_lines", a, **lat_kw),
                               tol=1e-9, noneq_floor=1e-6)
             assert rep.passed
+
+
+# the box the benchmark's analysis cases draw from; hpm with a below about
+# 0.1 loses agreement accuracy and stays outside it
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["hpm", "fpm", "gpm"]),
+    st.floats(1.0 / 6.0, 1.0),
+    st.floats(-3.0, 0.0).map(lambda e: 10.0**e),
+    st.floats(0.0, math.pi, exclude_max=True),
+)
+def test_verify_pair_passes_on_random_pairs_and_rotations(kind, a, gamma, theta):
+    make = {"hpm": lambda: make_hpm(a, theta),
+            "fpm": lambda: make_fpm(a, gamma, theta),
+            "gpm": lambda: make_gpm(a, gamma, theta)}[kind]
+    lattice = Lattice(AGREEMENT[kind], a, theta, line_sample_count=401, k_max=12)
+    rep = verify_pair(make(), lattice, tol=1e-9, noneq_floor=1e-6)
+    assert rep.max_rel_dev <= 1e-9
+    assert math.isfinite(rep.d_X2) and rep.d_X2 > 1e-6
+    assert rep.passed

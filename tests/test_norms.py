@@ -186,6 +186,62 @@ def test_probe_and_distance_do_not_depend_on_a_warm_memo(make):
             assert analysis(pair) == cold
 
 
+def allocating_aligned_phase_min(a, b, p, area, tol=1e-10):
+    """The alignment as it was before its objective reused work arrays: a
+    fresh complex and a fresh real temporary per evaluation.  The search is
+    the library's own, so only the objective differs."""
+    step = 2.0 * math.pi / norms._SCAN
+
+    def objective(alpha):
+        diff = np.abs(a - np.exp(-1j * alpha) * b)
+        return float(np.sum(diff**p)) * area
+
+    vals = [objective(k * step) for k in range(norms._SCAN)]
+    k_best = min(range(norms._SCAN), key=vals.__getitem__)
+    best = (k_best * step, vals[k_best])
+    low = [vals[k] <= vals[k - 1] and vals[k] <= vals[(k + 1) % norms._SCAN]
+           for k in range(norms._SCAN)]
+    brackets = [(k - 1, k + 1, k) for k in range(norms._SCAN) if low[k]]
+    for k in filter(low.__getitem__, range(norms._SCAN)):
+        for side in (-1, 1):
+            j, far = (k + side) % norms._SCAN, (k + 2 * side) % norms._SCAN
+            if (not low[far] and vals[far] > vals[j]
+                    and side * (objective(j * step + 1e-6) - vals[j]) < 0):
+                brackets.append((min(j, j + side), max(j, j + side), j))
+    for lo, hi, k in brackets:
+        x, v = norms._brent_min(objective, lo * step, hi * step, k * step,
+                                vals[k], tol)
+        if v < best[1]:
+            best = (x % (2.0 * math.pi), v)
+    return best
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    arrays(np.complex128, st.shared(st.integers(1, 60), key="n"),
+           elements=st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                                       allow_infinity=False)),
+    arrays(np.complex128, st.shared(st.integers(1, 60), key="n"),
+           elements=st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                                       allow_infinity=False)),
+    st.sampled_from([1.0, 2.0]) | st.floats(1.0, 2.0),
+    st.floats(1e-3, 1.0),
+)
+def test_buffered_alignment_keeps_every_bit(a, b, p, area):
+    assert _aligned_phase_min(a, b, p, area) == allocating_aligned_phase_min(a, b, p, area)
+
+
+def test_buffered_alignment_keeps_every_bit_on_a_probe_case():
+    grid = TFGrid(-3, 3, -3, 3, 61, 61)
+    mask = disk_mask(grid, 3.0)
+    pair = make_hpm(0.4)
+    a = gabor_field(pair.plus, grid).values[mask]
+    b = gabor_field(pair.minus, grid).values[mask]
+    for p in (1.0, 1.37, 2.0):
+        assert (_aligned_phase_min(a, b, p, grid.cell_area)
+                == allocating_aligned_phase_min(a, b, p, grid.cell_area))
+
+
 def test_probe_alignment_evaluation_budget(monkeypatch):
     # the default probe case; each objective evaluation takes one scalar
     # np.exp, while the field evaluations take array ones
@@ -255,6 +311,67 @@ def test_measurement_norm_consistent_powers_switch():
     third_raw = raw - 2 * lp
     third_fixed = fixed - 2 * lp
     assert third_fixed == pytest.approx(third_raw ** (1 / 2.0), rel=1e-9)
+
+
+def complex_dnorm(field, p, s, k, weight, consistent_powers=False):
+    """measurement_norm_D as it was in complex arithmetic, the oracle for the
+    real-valued version: every term of a complex-typed field."""
+    grid, vals = field.grid, field.values.astype(complex)
+
+    def cell_lp(arr, w=None):
+        integrand = np.abs(arr) ** p if w is None else np.abs(arr) ** p * w
+        return float(np.sum(integrand)) * grid.cell_area
+
+    lp_pow = cell_lp(vals)
+    if k == 0:
+        sobolev = lp_pow ** (1.0 / p)
+    else:
+        fx, fw = np.gradient(vals, grid.dx, grid.dw, edge_order=2)
+        sobolev = (lp_pow + cell_lp(fx) + cell_lp(fw)) ** (1.0 / p)
+    X, W = grid.mesh()
+    moment_pow = cell_lp((np.abs(X) + np.abs(W)) ** s * vals, weight)
+    moment = moment_pow ** (1.0 / p) if consistent_powers else moment_pow
+    return sobolev + lp_pow ** (1.0 / p) + moment
+
+
+def magnitude_difference(kind, n):
+    grid = TFGrid(-3, 3, -3, 3, n, n)
+    pair = make_hpm(0.5) if kind == "hpm" else make_fpm(0.5, 0.1)
+    fp, fm = gabor_field(pair.plus, grid), gabor_field(pair.minus, grid)
+    diff = np.abs(fp.values) - np.abs(fm.values)
+    return grid, diff, np.abs(fp.values)
+
+
+@pytest.mark.parametrize("kind", ["hpm", "fpm"])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_real_measurement_norm_matches_the_complex_formula(kind, p):
+    grid, diff, mag = magnitude_difference(kind, 61)
+    field = ComplexField(grid, diff.astype(complex))
+    for consistent in (False, True):
+        # k = 0 has no difference quotient: |x + 0i| = |x| keeps every bit
+        assert (measurement_norm_D(field, p, 4.0, 0, mag**p, consistent_powers=consistent)
+                == complex_dnorm(field, p, 4.0, 0, mag**p, consistent))
+        # k = 1 divides by the spacing in real instead of complex arithmetic
+        expect = complex_dnorm(field, p, 4.0, 1, mag**p, consistent)
+        got = measurement_norm_D(field, p, 4.0, 1, mag**p, consistent_powers=consistent)
+        assert abs(got - expect) <= 1e-14 * expect
+
+
+def test_measurement_norm_real_field_equals_its_complex_copy():
+    grid, diff, mag = magnitude_difference("fpm", 41)
+    real = MagnitudeField(grid, mag)
+    copy = ComplexField(grid, mag.astype(complex))
+    for k in (0, 1):
+        assert (measurement_norm_D(real, 1.5, 4.0, k, mag)
+                == measurement_norm_D(copy, 1.5, 4.0, k, mag))
+
+
+def test_measurement_norm_rejects_a_nonzero_imaginary_part():
+    grid, diff, mag = magnitude_difference("fpm", 21)
+    values = diff.astype(complex)
+    values[3, 4] += 1e-300j
+    with pytest.raises(ValueError, match="imaginary"):
+        measurement_norm_D(ComplexField(grid, values), 1.0, 4.0, 1, mag)
 
 
 def test_probe_trivial_and_validation():
