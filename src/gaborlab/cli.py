@@ -143,9 +143,7 @@ def cmd_spectrogram(cfg):
         "csv": f"{name}.csv",
         "pgm": f"{name}.pgm",
     }
-    io.write_report(_out(cfg, f"{name}.json"),
-                    io.report_envelope("spectrogram", cfg, payload))
-    return 0
+    return 0, payload, None
 
 
 # ---------------------------------------------------------------------------
@@ -180,17 +178,15 @@ def cmd_verify(cfg):
         "roots_plus": report.roots_plus,
         "roots_minus": report.roots_minus,
     }
-    io.write_report(_out(cfg, "verify.json"),
-                    io.report_envelope("verify", cfg, payload))
     # negated comparisons, so that a NaN deviation or distance fails
     if not report.max_rel_dev <= cfg["tol"]:
         print(f"agreement FAILED: max relative deviation {report.max_rel_dev:.3e}")
-        return 2
+        return 2, payload, None
     if not report.d_X2 > cfg["noneq_floor"]:
         print(f"non-equivalence FAILED: d_X2 = {report.d_X2:.3e}")
-        return 3
+        return 3, payload, None
     print(f"verified: max_rel_dev={report.max_rel_dev:.3e} d_X2={report.d_X2:.3e}")
-    return 0
+    return 0, payload, None
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +207,7 @@ def cmd_roots(cfg):
         for x, w in pts:
             lines.append(f"{name},{float(x)!r},{float(w)!r}")
     io.atomic_write_text(_out(cfg, "roots.csv"), "\n".join(lines) + "\n")
-    payload = {"roots_plus": rp, "roots_minus": rm}
-    io.write_report(_out(cfg, "roots.json"),
-                    io.report_envelope("roots", cfg, payload))
-    return 0
+    return 0, {"roots_plus": rp, "roots_minus": rm}, None
 
 
 _THRESHOLD_DEFAULTS = dict(a=0.5, R=3.0, delta=1.0, out_dir=".")
@@ -229,11 +222,8 @@ def cmd_threshold(cfg):
         raise ValueError(
             f"gamma_0 = e^(-(pi/a)(R - 1/(2a))) overflows a double at a = {a!r}, R = {R!r}"
         ) from None
-    payload = {"gamma_0": gamma0, "threshold": thr, "delta": cfg["delta"]}
-    io.write_report(_out(cfg, "threshold.json"),
-                    io.report_envelope("threshold", cfg, payload))
     print(f"gamma_0 = {gamma0!r}, threshold = {thr!r}")
-    return 0
+    return 0, {"gamma_0": gamma0, "threshold": thr, "delta": cfg["delta"]}, None
 
 
 _FIGURE2_DEFAULTS = dict(
@@ -261,9 +251,7 @@ def cmd_figure2(cfg):
         "gamma_0": gamma0,
         "mass_99_radius": MASS_99_RADIUS,
     }
-    io.write_report(_out(cfg, "figure2.json"),
-                    io.report_envelope("figure2", cfg, payload))
-    return 0
+    return 0, payload, None
 
 
 # ---------------------------------------------------------------------------
@@ -329,12 +317,8 @@ _SPECTRUM_DEFAULTS = dict(_DOMAIN_DEFAULTS, m=5, out_dir=".")
 def cmd_spectrum(cfg):
     domain = _build_domain(cfg)
     dec = solve_spectrum(domain, cfg["m"])
-    payload = {"eigenvalues": dec.eigenvalues}
-    io.write_report(_out(cfg, "spectrum.json"),
-                    io.report_envelope("spectrum", cfg, payload,
-                                       _provenance(domain, dec)))
     print("eigenvalues:", " ".join(f"{v:.6g}" for v in dec.eigenvalues))
-    return 0
+    return 0, {"eigenvalues": dec.eigenvalues}, _provenance(domain, dec)
 
 
 _POINCARE_DEFAULTS = dict(_DOMAIN_DEFAULTS, m=2, out_dir=".")
@@ -345,11 +329,8 @@ def cmd_poincare(cfg):
     dec = solve_spectrum(domain, cfg["m"])
     est = poincare_estimate(dec)
     payload = {"poincare": est, "lambda_1": float(dec.eigenvalues[1])}
-    io.write_report(_out(cfg, "poincare.json"),
-                    io.report_envelope("poincare", cfg, payload,
-                                       _provenance(domain, dec)))
     print(f"poincare estimate = {est!r}")
-    return 0
+    return 0, payload, _provenance(domain, dec)
 
 
 _VARIATION_DEFAULTS = dict(
@@ -361,8 +342,7 @@ def cmd_variation(cfg):
     base_cfg = dict(cfg, weight="gaussian", floor_rel=min(cfg["floor_rel"], 1e-14))
     dom_a = _build_domain(base_cfg)
     if cfg["mode"] == "scaled":
-        dom_b = dom_a.__class__(dom_a.grid, dom_a.mask,
-                                cfg["scale"] * dom_a.weight, dom_a.p_exponent,
+        dom_b = dom_a.__class__(dom_a.grid, dom_a.mask, cfg["scale"] * dom_a.weight,
                                 cfg["scale"] * dom_a.floor_applied)
     else:
         dom_b = _build_domain(dict(cfg, weight="fpm"))
@@ -378,9 +358,7 @@ def cmd_variation(cfg):
     # the base domain's record at the top level, as in the other reports
     prov = _provenance(dom_a, report.decomposition_a)
     prov["varied"] = _domain_record(dom_b, report.decomposition_b)
-    io.write_report(_out(cfg, "variation.json"),
-                    io.report_envelope("variation", cfg, payload, prov))
-    return 0 if (report.paper_ok and report.spectral_ok) else 4
+    return (0 if report.paper_ok and report.spectral_ok else 4), payload, prov
 
 
 _REFINE_DEFAULTS = dict(
@@ -406,10 +384,7 @@ def cmd_refine(cfg):
         "min_relative_slack": float(min(slacks)),
         "eigenvalues": dec.eigenvalues,
     }
-    io.write_report(_out(cfg, "refine.json"),
-                    io.report_envelope("refine", cfg, payload,
-                                       _provenance(domain, dec)))
-    return 0 if min(slacks) >= -1e-9 else 4
+    return (0 if min(slacks) >= -1e-9 else 4), payload, _provenance(domain, dec)
 
 
 _CHEEGER_DEFAULTS = dict(
@@ -442,10 +417,7 @@ def cmd_cheeger(cfg):
         "chain_ok": report.chain_ok,
         "chain_slack": report.chain_slack,
     }
-    io.write_report(_out(cfg, "cheeger.json"),
-                    io.report_envelope("cheeger", cfg, payload,
-                                       _provenance(domain, dec)))
-    return 0
+    return 0, payload, _provenance(domain, dec)
 
 
 # ---------------------------------------------------------------------------
@@ -471,9 +443,7 @@ def cmd_probe(cfg):
         "infinite_ratio": report.infinite_ratio,
         "ignored_q": cfg["q"],
     }
-    io.write_report(_out(cfg, "probe.json"),
-                    io.report_envelope("probe", cfg, payload))
-    return 0
+    return 0, payload, None
 
 
 _DNORM_DEFAULTS = dict(
@@ -496,32 +466,34 @@ def cmd_dnorm(cfg):
     payload = {"value": value,
                "dnorm_consistent_powers": cfg["dnorm_consistent_powers"],
                "ignored_q": cfg["q"]}
-    io.write_report(_out(cfg, "dnorm.json"),
-                    io.report_envelope("dnorm", cfg, payload))
     print(f"D-norm = {value!r}")
-    return 0
+    return 0, payload, None
 
 
 # ---------------------------------------------------------------------------
 # one option table per command: flags, defaults and config-file checks
 # ---------------------------------------------------------------------------
 
+# name: (function, defaults, the command its report names); the report is
+# <preset or that command>.json
 _COMMANDS = {
-    "spectrogram": (cmd_spectrogram, _SPECTROGRAM_DEFAULTS),
+    "spectrogram": (cmd_spectrogram, _SPECTROGRAM_DEFAULTS, "spectrogram"),
     # the figure commands are spectrogram with its preset fixed
-    "figure1a": (cmd_spectrogram, dict(_SPECTROGRAM_DEFAULTS, preset="fig1a")),
-    "figure1b": (cmd_spectrogram, dict(_SPECTROGRAM_DEFAULTS, preset="fig1b")),
-    "verify": (cmd_verify, _VERIFY_DEFAULTS),
-    "roots": (cmd_roots, _ROOTS_DEFAULTS),
-    "threshold": (cmd_threshold, _THRESHOLD_DEFAULTS),
-    "figure2": (cmd_figure2, _FIGURE2_DEFAULTS),
-    "spectrum": (cmd_spectrum, _SPECTRUM_DEFAULTS),
-    "poincare": (cmd_poincare, _POINCARE_DEFAULTS),
-    "variation": (cmd_variation, _VARIATION_DEFAULTS),
-    "refine": (cmd_refine, _REFINE_DEFAULTS),
-    "cheeger": (cmd_cheeger, _CHEEGER_DEFAULTS),
-    "probe": (cmd_probe, _PROBE_DEFAULTS),
-    "dnorm": (cmd_dnorm, _DNORM_DEFAULTS),
+    "figure1a": (cmd_spectrogram, dict(_SPECTROGRAM_DEFAULTS, preset="fig1a"),
+                 "spectrogram"),
+    "figure1b": (cmd_spectrogram, dict(_SPECTROGRAM_DEFAULTS, preset="fig1b"),
+                 "spectrogram"),
+    "verify": (cmd_verify, _VERIFY_DEFAULTS, "verify"),
+    "roots": (cmd_roots, _ROOTS_DEFAULTS, "roots"),
+    "threshold": (cmd_threshold, _THRESHOLD_DEFAULTS, "threshold"),
+    "figure2": (cmd_figure2, _FIGURE2_DEFAULTS, "figure2"),
+    "spectrum": (cmd_spectrum, _SPECTRUM_DEFAULTS, "spectrum"),
+    "poincare": (cmd_poincare, _POINCARE_DEFAULTS, "poincare"),
+    "variation": (cmd_variation, _VARIATION_DEFAULTS, "variation"),
+    "refine": (cmd_refine, _REFINE_DEFAULTS, "refine"),
+    "cheeger": (cmd_cheeger, _CHEEGER_DEFAULTS, "cheeger"),
+    "probe": (cmd_probe, _PROBE_DEFAULTS, "probe"),
+    "dnorm": (cmd_dnorm, _DNORM_DEFAULTS, "dnorm"),
 }
 
 # the types of the keys whose default is None; every other key takes the type
@@ -555,7 +527,7 @@ def _settable(table):
 def build_parser():
     parser = _Parser(prog="gaborlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, table) in _COMMANDS.items():
+    for name, (_, table, _) in _COMMANDS.items():
         # flags left off the command line stay out of the namespace
         p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
         p.add_argument("--config")
@@ -599,31 +571,23 @@ def _resolve(table, path, given):
     return {**table, **_PRESETS.get(preset, {}), **loaded, **given}
 
 
-def _write_solver_failure(command, cfg, exc):
-    """The command's report for a solve that failed; residuals is None
-    when ARPACK failed before any pair was checked."""
-    payload = {"status": "solver_failure", "message": str(exc),
-               "residuals": exc.residuals}
-    io.write_report(_out(cfg, f"{command}.json"),
-                    io.report_envelope(command, cfg, payload, {
-                        "eigenpair_residual_contract": RESIDUAL_CONTRACT}))
-
-
 def main(argv=None):
     args = vars(build_parser().parse_args(argv))
-    command = args.pop("command")
-    func, table = _COMMANDS[command]
+    func, table, command = _COMMANDS[args.pop("command")]
     path = args.pop("config", None)
     try:
         cfg = _resolve(table, path, args)
-        return func(cfg)
-    except SolverConvergenceError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
         try:
-            _write_solver_failure(command, cfg, exc)
-        except OSError as err:
-            print(f"error: {err}", file=sys.stderr)
-        return 4
+            code, payload, provenance = func(cfg)
+        except SolverConvergenceError as exc:
+            print(f"solver failure: {exc}", file=sys.stderr)
+            # residuals is None when ARPACK failed before any pair was checked
+            code, payload = 4, {"status": "solver_failure", "message": str(exc),
+                                "residuals": exc.residuals}
+            provenance = {"eigenpair_residual_contract": RESIDUAL_CONTRACT}
+        io.write_report(_out(cfg, f"{cfg.get('preset') or command}.json"),
+                        io.report_envelope(command, cfg, payload, provenance))
+        return code
     # lattice mismatches, inadmissible cuts and bad JSON are ValueErrors too
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,6 +16,7 @@ which is validated against a quadrature oracle rather than trusted.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from .grid import ComplexField, MagnitudeField, TFGrid
 from .signals import GAUSSIAN_PEAK, GaussianSum
 
 _LOG_HUGE = math.log(np.finfo(float).max)
+_LOG_TINY = math.log(np.finfo(float).tiny)
 
 
 def gabor_eval(f: GaussianSum, x, w):
@@ -46,10 +48,17 @@ def gabor_eval(f: GaussianSum, x, w):
         np.multiply(-2.0 * np.pi * a.shift, ws, out=im)
         np.multiply(np.pi * xs, ws, out=tmp)
         im -= tmp
+        # where e^z falls below the normal range it has lost bits that c
+        # (up to e^{709} for hpm pairs) would scale back up, so those
+        # entries take c into the exponent: e^{z + log c}
+        low = re < _LOG_TINY
+        deep = z[low] + cmath.log(a.coeff) if a.coeff and low.any() else None
         np.exp(z, out=z)
         # the exponential stays the first factor: where complex multiply
         # uses FMA, z * c and c * z can differ in the last bit
         np.multiply(z, a.coeff, out=z)
+        if deep is not None:
+            z[low] = np.exp(deep)
         out += z
     return out if out.shape else complex(out)
 

@@ -46,7 +46,6 @@ class WeightedDomain:
     grid: TFGrid
     mask: np.ndarray = field(repr=False)
     weight: np.ndarray = field(repr=False)
-    p_exponent: float | None
     floor_applied: float
     _ops: tuple | None = field(default=None, repr=False, compare=False)
     _cuts: object | None = field(default=None, repr=False, compare=False)
@@ -84,12 +83,11 @@ class WeightedDomain:
 
 def build_weighted_domain(mag, p, mask, floor_rel=DEFAULT_FLOOR_REL) -> WeightedDomain:
     """Domain with weight max(|G f|^p, floor_rel * max |G f|^p) on the mask."""
-    return weighted_domain_from_values(mag.grid, mag.values ** p, mask, floor_rel,
-                                       float(p))
+    return weighted_domain_from_values(mag.grid, mag.values ** p, mask, floor_rel)
 
 
-def weighted_domain_from_values(grid, values, mask=None, floor_rel=DEFAULT_FLOOR_REL,
-                                p_exponent=None) -> WeightedDomain:
+def weighted_domain_from_values(grid, values, mask=None,
+                                floor_rel=DEFAULT_FLOOR_REL) -> WeightedDomain:
     """Domain from a synthetic weight array (already the measure density)."""
     if not (0.0 < floor_rel <= 1e-6):
         raise ValueError("floor_rel must lie in (0, 1e-6]")
@@ -99,7 +97,7 @@ def weighted_domain_from_values(grid, values, mask=None, floor_rel=DEFAULT_FLOOR
     floor = floor_rel * float(values.max())
     if floor <= 0:
         raise ValueError("weight is identically zero")
-    return WeightedDomain(grid, mask, np.maximum(values, floor), p_exponent, floor)
+    return WeightedDomain(grid, mask, np.maximum(values, floor), floor)
 
 
 def assemble_operators(domain: WeightedDomain):

@@ -173,7 +173,7 @@ def test_criterion_05_variation_lemma():
     n = 101
     dom = gaussian_disk_domain(n, 3.0, floor_rel=1e-14)
     scaled = weighted_domain_from_values(dom.grid, 3.0 * dom.weight, dom.mask,
-                                         floor_rel=1e-14, p_exponent=2.0)
+                                         floor_rel=1e-14)
     rep_scale = variation_bound_check(dom, scaled, 2.0)
     ok = abs(rep_scale.ratio - 1.0) <= 1e-8
 

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -13,6 +14,7 @@ import pytest
 
 from gaborlab.cli import _COMMANDS, build_parser, main
 from gaborlab.io import read_field_csv
+from gaborlab.spectral import RESIDUAL_CONTRACT, SolverConvergenceError
 
 
 def run(args):
@@ -83,6 +85,9 @@ def test_nan_distance_fails_verify_and_stays_strict_json(tmp_path, capsys,
     (["--gamma", 1e-200, "--noneq-floor", 0], 2.000e-200),
     # ... or overflow, e^{pi/(4a^2)} squared, to NaN
     (["--kind", "hpm", "-a", 0.04], 2.159e+213),
+    # hpm atoms whose e^{-pi r^2/2} is subnormal where c e^{-pi r^2/2} is not
+    (["--kind", "hpm", "-a", 0.1], 1.819e+34),
+    (["--kind", "hpm", "-a", 0.05], 3.874e+136),
 ])
 def test_extreme_scale_pairs_verify(tmp_path, capsys, args, d_X2):
     with warnings.catch_warnings():
@@ -318,6 +323,29 @@ def test_solver_failure_exits_4_with_a_report(tmp_path, capsys):
     assert max(payload["residuals"]) > rep["provenance"]["eigenpair_residual_contract"]
 
 
+@pytest.mark.parametrize("name", ["spectrum", "poincare", "variation", "refine", "cheeger"])
+@pytest.mark.parametrize("residuals", [None, [3e-3, 1e-12]])
+def test_every_spectral_command_reports_a_solver_failure(tmp_path, capsys, monkeypatch,
+                                                          name, residuals):
+    # residuals is None when ARPACK fails before any pair is checked
+    def fail(domain, m):
+        raise SolverConvergenceError("residuals exceed the contract", residuals)
+
+    monkeypatch.setattr("gaborlab.cli.solve_spectrum", fail)
+    monkeypatch.setattr("gaborlab.spectral.solve_spectrum", fail)
+    assert run([name, "--out-dir", tmp_path]) == 4
+    assert "solver failure: residuals exceed the contract" in capsys.readouterr().err
+    (report,) = tmp_path.iterdir()
+    assert report.name == f"{name}.json"
+    rep = strict_json(report.read_text())
+    assert rep["command"] == name
+    assert rep["config"] == dict(_COMMANDS[name][1], out_dir=str(tmp_path))
+    assert rep["payload"] == {"status": "solver_failure",
+                              "message": "residuals exceed the contract",
+                              "residuals": residuals}
+    assert rep["provenance"] == {"eigenpair_residual_contract": RESIDUAL_CONTRACT}
+
+
 def test_cheeger_command(tmp_path):
     assert run(["cheeger", "--weight", "fpm", "-a", 0.5, "--gamma", 1.0,
                 "-R", 4.0, "-n", 61, "--out-dir", tmp_path]) == 0
@@ -405,3 +433,45 @@ def test_flags_match_report_config(tmp_path, capsys, name):
     dests = {a.dest for a in subparsers()[name]._actions} - {"help", "config"}
     fixed = {"preset"} if name.startswith("figure1") else set()
     assert dests == set(config) - fixed
+
+
+# what each command writes at its defaults: the command its report's envelope
+# names, the report, and the CSV/PGM files beside it
+DEFAULT_OUTPUTS = {
+    "spectrogram": ("spectrogram", "spectrogram.json",
+                    {"spectrogram.csv", "spectrogram.pgm"}),
+    "figure1a": ("spectrogram", "fig1a.json", {"fig1a.csv", "fig1a.pgm"}),
+    "figure1b": ("spectrogram", "fig1b.json", {"fig1b.csv", "fig1b.pgm"}),
+    "verify": ("verify", "verify.json", set()),
+    "roots": ("roots", "roots.json", {"roots.csv"}),
+    "threshold": ("threshold", "threshold.json", set()),
+    "figure2": ("figure2", "figure2.json", {"figure2.csv"}),
+    "spectrum": ("spectrum", "spectrum.json", set()),
+    "poincare": ("poincare", "poincare.json", set()),
+    "variation": ("variation", "variation.json", set()),
+    "refine": ("refine", "refine.json", set()),
+    "cheeger": ("cheeger", "cheeger.json", set()),
+    "probe": ("probe", "probe.json", set()),
+    "dnorm": ("dnorm", "dnorm.json", set()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COMMANDS))
+def test_each_command_writes_one_report(tmp_path, name):
+    command, report, files = DEFAULT_OUTPUTS[name]
+    assert run([name, "--out-dir", tmp_path]) == 0
+    assert {p.name for p in tmp_path.iterdir()} == {report, *files}
+    assert json.loads((tmp_path / report).read_text())["command"] == command
+
+
+def test_default_csv_and_pgm_bytes_match_the_benchmark_digests(tmp_path):
+    # the digests the benchmark checks its cli outputs against, read only
+    recorded = json.loads(
+        (Path(__file__).resolve().parents[1] / "perfbench" / "digests.json").read_text())
+    written = {}
+    for name in ("spectrogram", "figure1a", "figure1b", "figure2", "roots"):
+        out = tmp_path / name
+        assert run([name, "--out-dir", out]) == 0
+        written.update((p.name, hashlib.sha256(p.read_bytes()).hexdigest())
+                       for p in out.iterdir() if p.suffix != ".json")
+    assert written == recorded

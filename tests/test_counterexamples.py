@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -392,21 +393,41 @@ def test_sweep_all_kinds():
             assert rep.passed
 
 
-# the box the benchmark's analysis cases draw from; hpm with a below about
-# 0.1 loses agreement accuracy and stays outside it
+# the smallest a whose hpm coefficient e^{pi/(4a^2)} make_hpm accepts, and
+# the log of the smallest normal double
+HPM_A_MIN = math.sqrt(math.pi / (4.0 * 0.99 * math.log(sys.float_info.max)))
+LOG_TINY = math.log(sys.float_info.min)
+
+
+def test_make_hpm_refuses_a_below_its_overflow_guard():
+    make_hpm(HPM_A_MIN)
+    with pytest.raises(ValueError, match="overflows"):
+        make_hpm(HPM_A_MIN * (1.0 - 1e-9))
+
+
+# the documented range: hpm from its overflow guard up, fpm and gpm from
+# a = 0.05, gamma down to 1e-200.  Besides the central lines, each pair is
+# sampled on the lines through the band where an atom's e^{-pi r^2/2} is
+# subnormal, which hpm's large coefficient scales back to normal values
 @settings(max_examples=60, deadline=None)
 @given(
-    st.sampled_from(["hpm", "fpm", "gpm"]),
-    st.floats(1.0 / 6.0, 1.0),
-    st.floats(-3.0, 0.0).map(lambda e: 10.0**e),
+    st.one_of(st.tuples(st.just("hpm"), st.floats(HPM_A_MIN, 1.0)),
+              st.tuples(st.sampled_from(["fpm", "gpm"]), st.floats(0.05, 1.0))),
+    st.floats(-200.0, 0.0).map(lambda e: 10.0**e),
     st.floats(0.0, math.pi, exclude_max=True),
 )
-def test_verify_pair_passes_on_random_pairs_and_rotations(kind, a, gamma, theta):
-    make = {"hpm": lambda: make_hpm(a, theta),
+def test_verify_pair_passes_on_random_pairs_and_rotations(kind_a, gamma, theta):
+    kind, a = kind_a
+    pair = {"hpm": lambda: make_hpm(a, theta),
             "fpm": lambda: make_fpm(a, gamma, theta),
-            "gpm": lambda: make_gpm(a, gamma, theta)}[kind]
-    lattice = Lattice(AGREEMENT[kind], a, theta, line_sample_count=401, k_max=12)
-    rep = verify_pair(make(), lattice, tol=1e-9, noneq_floor=1e-6)
-    assert rep.max_rel_dev <= 1e-9
-    assert math.isfinite(rep.d_X2) and rep.d_X2 > 1e-6
-    assert rep.passed
+            "gpm": lambda: make_gpm(a, gamma, theta)}[kind]()
+    # the atoms nearest the origin sit at distance 1/(2a) (hpm) or 0
+    shift = 1.0 / (2.0 * a) if kind == "hpm" else 0.0
+    band = math.sqrt(max(-2.0 * LOG_TINY / math.pi - shift * shift, 0.0))
+    for offset in (0.0, a * round(band / a)):
+        lattice = Lattice(AGREEMENT[kind], a, theta, line_sample_count=401,
+                          offset=offset, k_max=12)
+        rep = verify_pair(pair, lattice, tol=1e-9, noneq_floor=0.0)
+        assert rep.max_rel_dev <= 1e-9
+        assert math.isfinite(rep.d_X2) and rep.d_X2 > 0.0
+        assert rep.passed

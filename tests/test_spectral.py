@@ -583,7 +583,7 @@ def test_poincare_ratio_within_weight_ratio_bounds(dom, eps, seed):
 def test_variation_scaling_invariance():
     dom = gaussian_disk_domain(61, 3.0, floor_rel=1e-14)
     scaled = weighted_domain_from_values(dom.grid, 3.0 * dom.weight, dom.mask,
-                                         floor_rel=1e-14, p_exponent=2.0)
+                                         floor_rel=1e-14)
     rep = variation_bound_check(dom, scaled, 2.0)
     assert rep.ratio == pytest.approx(1.0, abs=1e-8)
     assert rep.paper_ok and rep.spectral_ok
