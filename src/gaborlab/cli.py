@@ -298,7 +298,8 @@ def _domain_record(domain, dec=None):
         "floor_mass_share": float(weights[floored].sum() / weights.sum()),
     }
     if dec is not None:
-        rec.update(max_residual=float(dec.residuals.max()), solver_path=dec.path)
+        rec.update(max_residual=float(dec.residuals.max()), solver_path=dec.path,
+                   lu_solves=dec.lu_solves)
     return rec
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gabor import gabor_field
-from .grid import ComplexField, field_values, require_same_grid
+from .grid import field_values, require_same_grid
 from .signals import GaussianSum, signal_phase_distance
 
 _SCAN = 12  # phase samples of the alignment scan
@@ -206,7 +206,6 @@ def measurement_norm_D(
         raise ValueError("k must be 0 or 1")
     if p < 1:
         raise ValueError("p must be >= 1")
-    grid = field.grid
     if hasattr(weight, "grid"):
         require_same_grid(field, weight)
     vals = field.values
@@ -215,6 +214,13 @@ def measurement_norm_D(
             raise ValueError("measurement_norm_D needs a real-valued field; "
                              "this one has a nonzero imaginary part")
         vals = vals.real
+    return _measurement_norm_real(vals, field.grid, p, s, k, field_values(weight),
+                                  mask, consistent_powers)
+
+
+def _measurement_norm_real(vals, grid, p, s, k, weight, mask, consistent_powers):
+    """measurement_norm_D of the real value array vals on grid, with weight
+    an array; the arguments are taken as already checked."""
 
     def cell_lp(arr, w=None):
         integrand = np.abs(arr) ** p if w is None else np.abs(arr) ** p * w
@@ -231,7 +237,7 @@ def measurement_norm_D(
 
     # (|x| + |w|)^s from the node axes by broadcasting: no mesh arrays
     moment_factor = (np.abs(grid.x_nodes())[:, None] + np.abs(grid.w_nodes())) ** s
-    moment_pow = cell_lp(moment_factor * vals, field_values(weight))
+    moment_pow = cell_lp(moment_factor * vals, weight)
     moment = moment_pow ** (1.0 / p) if consistent_powers else moment_pow
 
     return sobolev + lp_pow ** (1.0 / p) + moment
@@ -287,16 +293,10 @@ def stability_probe(
     numerator = val ** (1.0 / p)
 
     mag_f = Ff.magnitude()
-    mag_diff_values = mag_f.values - np.abs(Fg.values)
-    diff_field = ComplexField(grid, mag_diff_values.astype(complex))
-    denominator = measurement_norm_D(
-        diff_field,
-        p,
-        s,
-        k=1,
-        weight=mag_f.values**p,
-        mask=denominator_mask,
-        consistent_powers=consistent_powers,
+    # |G f| - |G g| is real: the norm's core takes it without a complex copy
+    denominator = _measurement_norm_real(
+        mag_f.values - np.abs(Fg.values), grid, p, s, 1, mag_f.values**p,
+        denominator_mask, consistent_powers,
     )
 
     alpha = alpha % (2 * math.pi)

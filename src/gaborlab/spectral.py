@@ -152,6 +152,9 @@ class SpectralDecomposition:
     domain: WeightedDomain
     residuals: np.ndarray  # ||S u - lambda M u|| / ||M u|| per pair
     path: str  # "dense" or "shift-invert"
+    lu_solves: int  # solves with the LU of S + c M; 0 on the dense branch
+    # U^T S U over the leading columns, grown on demand by refinement_check
+    _gram: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def m(self):
@@ -163,10 +166,10 @@ def solve_spectrum(domain: WeightedDomain, m: int) -> SpectralDecomposition:
 
     One LU of S + c M (c from _shift_scale) drives shift-invert Lanczos and
     then two block inverse-iteration steps; a Rayleigh-Ritz projection of the
-    pencil onto that block gives the pairs.  When the Lanczos subspace would
-    span every node, the pencil is solved densely instead: with
-    D = M^-1/2, the scaled matrix D S D is assembled sparsely and handed to
-    LAPACK's relatively robust representation eigensolver (syevr), and
+    pencil onto that block gives the pairs.  On at most max(20, 4 (m + 4))
+    nodes the pencil is solved densely instead: with D = M^-1/2, the scaled
+    matrix D S D is assembled sparsely and handed to LAPACK's relatively
+    robust representation eigensolver (syevr), and
     u = D c maps its orthonormal eigenvectors back to mu-orthonormal ones.
     syevr rather than the faster divide-and-conquer syevd: on strongly
     graded weights syevd misses the residual contract where syevr meets it.
@@ -179,23 +182,20 @@ def solve_spectrum(domain: WeightedDomain, m: int) -> SpectralDecomposition:
     if m >= n:
         raise ValueError("m must be below the node count")
     S, mass = domain.operators()
-    # a few buffer modes: the last Ritz pairs of a Krylov subspace converge worst
-    k = m + 4
-    ncv = min(max(20, 4 * k), n)
-    if ncv == n:
-        # the Krylov subspace would cover every node; Fortran order lets
-        # LAPACK overwrite A instead of copying it
-        path = "dense"
+    if n <= max(20, 4 * (m + 4)):
+        # small enough to solve outright; Fortran order lets LAPACK
+        # overwrite A instead of copying it
+        path, lu_solves = "dense", 0
         d = 1.0 / np.sqrt(mass)
         A = S.multiply(d[None, :]).multiply(d[:, None]).toarray(order="F")
         lam, C = eigh(A, overwrite_a=True, driver="evr")
         U = np.multiply(d[:, None], C[:, : m + 1], order="C")
     else:
         path = "shift-invert"
-        basis = _shift_invert_basis(domain, S, mass, k, ncv)
+        basis, lu_solves = _shift_invert_basis(domain, S, mass, m + 1)
         gram = (basis.T * mass) @ basis
         lam, C = eigh(basis.T @ (S @ basis), gram, overwrite_a=True)
-        U = basis @ C[:, : m + 1]
+        U = basis @ C
     lam = lam[: m + 1]
     if U[:, 0].sum() < 0:
         U[:, 0] = -U[:, 0]
@@ -206,11 +206,12 @@ def solve_spectrum(domain: WeightedDomain, m: int) -> SpectralDecomposition:
             "eigenpair residuals exceed tolerance", residuals
         )
     return SpectralDecomposition(np.asarray(lam, dtype=float), U, domain,
-                                 residuals, path)
+                                 residuals, path, lu_solves)
 
 
-def _shift_invert_basis(domain, S, mass, k, ncv):
-    """k Ritz vectors of (S, M) near the bottom of the spectrum, refined.
+def _shift_invert_basis(domain, S, mass, k):
+    """k Ritz vectors of (S, M) near the bottom of the spectrum, refined,
+    and the number of LU solves spent on them.
 
     S + c M with c near the lambda_1 scale is SPD and well conditioned, and
     shift-invert at -c orders the smallest pencil eigenvalues first.  SPD
@@ -218,6 +219,10 @@ def _shift_invert_basis(domain, S, mass, k, ncv):
     about half the fill of the default column ordering.  The fixed start
     vector makes the solve the same from run to run, and the LU is freed on
     return, before the caller allocates the eigenvectors it keeps.
+
+    ARPACK is asked for exactly the k wanted pairs: buffer pairs beyond them
+    must converge too at tol = 0, and the inverse-iteration steps already
+    carry the last wanted pairs under the contract.
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
@@ -227,10 +232,18 @@ def _shift_invert_basis(domain, S, mass, k, ncv):
     lu = spla.splu((S + shift * sp.diags(mass)).tocsc(),
                    permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
                    options={"SymmetricMode": True})
+    calls = 0
+
+    def solve(b):
+        nonlocal calls
+        calls += 1
+        return lu.solve(b)
+
     try:
         _, basis = spla.eigsh(
             S, k=k, M=sp.diags(mass), sigma=-shift, which="LM", tol=0,
-            ncv=ncv, OPinv=spla.LinearOperator((n, n), lu.solve, dtype=float),
+            ncv=min(max(20, 4 * k), n),
+            OPinv=spla.LinearOperator((n, n), solve, dtype=float),
             v0=np.random.default_rng(0).standard_normal(n),
         )
     except spla.ArpackNoConvergence as exc:
@@ -242,7 +255,7 @@ def _shift_invert_basis(domain, S, mass, k, ncv):
     # LU brings the Ritz block's residuals under the contract
     for _ in range(2):
         basis = lu.solve(mass[:, None] * basis)
-    return basis
+    return basis, calls + 2 * k
 
 
 def _shift_scale(domain, S, mass):
@@ -316,7 +329,9 @@ def refinement_check(dec: SpectralDecomposition, h, k: int) -> RefinementReport:
     lhs = int h^2 dmu; rhs = (h, u_0)^2 + (1/lambda_1) ||grad pi_k h||^2
     + (1/lambda_{k+1}) int |grad h|^2 dmu; slack = rhs - lhs must be
     nonnegative up to rounding.  Only the coefficients (h, u_j)_mu for
-    j <= k are formed, however many pairs dec holds.
+    j <= k are formed, however many pairs dec holds.  ||grad pi_k h||^2 is
+    c^T G c for those coefficients c and the Gram block G = U^T S U of the
+    first k+1 pairs, which dec caches and regrows only for a larger k.
     """
     if not (1 <= k < dec.m):
         raise ValueError("k must satisfy 1 <= k < m")
@@ -327,10 +342,13 @@ def refinement_check(dec: SpectralDecomposition, h, k: int) -> RefinementReport:
         h = h[domain.mask]
     mh = mass * h
     lhs = float(h @ mh)
-    coeffs = dec.eigenvectors[:, : k + 1].T @ mh
+    U = dec.eigenvectors[:, : k + 1]
+    coeffs = U.T @ mh
     mean_term = float(coeffs[0] ** 2)
-    proj = dec.eigenvectors[:, 1 : k + 1] @ coeffs[1 : k + 1]
-    mid_term = float(proj @ (S @ proj)) / dec.eigenvalues[1]
+    if dec._gram is None or len(dec._gram) <= k:
+        dec._gram = U.T @ (S @ U)
+    c = coeffs[1:]
+    mid_term = float(c @ (dec._gram[1 : k + 1, 1 : k + 1] @ c)) / dec.eigenvalues[1]
     tail_term = float(h @ (S @ h)) / dec.eigenvalues[k + 1]
     slack = mean_term + mid_term + tail_term - lhs
     return RefinementReport(lhs, mean_term, mid_term, tail_term, k, slack)

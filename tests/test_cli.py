@@ -267,6 +267,9 @@ def test_spectral_reports_record_the_solve(tmp_path, args, path):
     for rec in [prov] + ([prov["varied"]] if args[0] == "variation" else []):
         assert rec["solver_path"] == path
         assert 0.0 <= rec["max_residual"] <= prov["eigenpair_residual_contract"]
+        # LU solves are spent only on the shift-invert branch
+        assert isinstance(rec["lu_solves"], int)
+        assert (rec["lu_solves"] > 0) == (path == "shift-invert")
         assert rec["n_nodes"] == prov["n_nodes"]
 
 

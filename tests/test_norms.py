@@ -374,6 +374,20 @@ def test_measurement_norm_rejects_a_nonzero_imaginary_part():
         measurement_norm_D(ComplexField(grid, values), 1.0, 4.0, 1, mag)
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5])
+def test_probe_denominator_is_the_public_norm_of_the_complex_copy(p):
+    # the probe hands its real magnitude difference to the norm's real core;
+    # the value is the public norm of that difference as a complex field
+    pair = make_fpm(0.5, 0.1)
+    grid = TFGrid(-3, 3, -3, 3, 61, 61)
+    mask = disk_mask(grid, 2.5)
+    rep = stability_probe(pair.plus, pair.minus, mask, grid, p, 4.0)
+    mag = np.abs(gabor_field(pair.plus, grid).values)
+    diff = mag - np.abs(gabor_field(pair.minus, grid).values)
+    assert rep.denominator == measurement_norm_D(
+        ComplexField(grid, diff.astype(complex)), p, 4.0, 1, mag**p, mask=mask)
+
+
 def test_probe_trivial_and_validation():
     grid = TFGrid(-3, 3, -3, 3, 61, 61)
     mask = disk_mask(grid, 3.0)

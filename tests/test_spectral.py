@@ -269,6 +269,66 @@ def test_dense_branch_solves_graded_coarse_disks(n, floor_rel):
     assert np.max(np.abs((U.T * m) @ U - np.eye(5))) <= 1e-8
 
 
+@pytest.mark.parametrize("m", range(2, 9))
+def test_arpack_is_asked_for_the_wanted_pairs_only(monkeypatch, m):
+    asked, columns = [], []
+    eigsh, splu = spla.eigsh, spla.splu
+
+    def recording_eigsh(A, *args, **kwargs):
+        asked.append((kwargs["k"], kwargs["ncv"]))
+        return eigsh(A, *args, **kwargs)
+
+    class CountingLU:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, b):
+            columns.append(1 if b.ndim == 1 else b.shape[1])
+            return self.lu.solve(b)
+
+    monkeypatch.setattr(spla, "eigsh", recording_eigsh)
+    monkeypatch.setattr(spla, "splu",
+                        lambda *args, **kwargs: CountingLU(splu(*args, **kwargs)))
+    dec = solve_spectrum(gaussian_disk_domain(21, 2.0), m)
+    assert dec.path == "shift-invert"
+    assert asked == [(m + 1, max(20, 4 * (m + 1)))]
+    # every ARPACK solve and every inverse-iteration column is counted
+    assert dec.lu_solves == sum(columns) > 2 * (m + 1)
+
+
+def strip_domain(n_nodes):
+    # the first n_nodes of an 8 x 8 grid in row order: 4-connected
+    grid = TFGrid(-1.0, 1.0, -1.0, 1.0, 8, 8)
+    mask = np.zeros(grid.shape, bool)
+    mask.ravel()[:n_nodes] = True
+    X, W = grid.mesh()
+    return weighted_domain_from_values(grid, np.exp(-(X**2 + W**2)), mask)
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_dense_branch_ends_at_the_buffered_krylov_size(m):
+    # up to max(20, 4 (m + 4)) nodes go dense, one node more goes to ARPACK
+    edge = max(20, 4 * (m + 4))
+    for n_nodes, path in ((edge, "dense"), (edge + 1, "shift-invert")):
+        dom = strip_domain(n_nodes)
+        assert dom.n_nodes == n_nodes
+        dec = solve_spectrum(dom, m)
+        assert dec.path == path
+        assert (dec.lu_solves > 0) == (path == "shift-invert")
+        assert dec.residuals.max() <= RESIDUAL_CONTRACT
+
+
+def test_gaussian_disk_splits_no_cluster_at_m5():
+    # the 121^2 disk of the stability benchmark: lambda_1 = lambda_2 = 2 pi
+    # is a pair by the grid's symmetry, and ARPACK is asked for 6 pairs only
+    dec = solve_spectrum(gaussian_disk_domain(121, 4.0), 5)
+    lam = dec.eigenvalues
+    assert dec.path == "shift-invert"
+    assert dec.residuals.max() <= RESIDUAL_CONTRACT
+    assert lam[2] == pytest.approx(lam[1], rel=1e-10)
+    assert lam[1] == pytest.approx(TWO_PI, rel=0.05)
+
+
 def test_shift_invert_solve_is_reproducible():
     dom = gaussian_disk_domain(51, 3.0)  # shift-invert Lanczos path
     first, second = solve_spectrum(dom, 3), solve_spectrum(dom, 3)
@@ -573,6 +633,39 @@ def test_poincare_ratio_within_weight_ratio_bounds(dom, eps, seed):
     assume(solve_or_none(dom, 2) is not None and solve_or_none(varied, 2) is not None)
     rep = variation_bound_check(dom, varied)
     assert rep.spectral_ok and rep.paper_ok
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_domains(), st.integers(2, 8),
+       st.lists(st.integers(0, 6), min_size=1, max_size=6), st.integers(0, 2**32 - 1))
+def test_refinement_mid_term_from_the_cached_gram_block(dom, m, ks, seed):
+    m = pair_count(dom, m)
+    dec, other = solve_or_none(dom, m), solve_or_none(dom, m)
+    assume(dec is not None)
+    S, _ = assemble_operators(dom)
+    rng = np.random.default_rng(seed)
+    largest = 0
+    for k in (1 + k % (m - 1) for k in ks):
+        before = dec._gram
+        h = rng.standard_normal(dom.n_nodes)
+        rep = refinement_check(dec, h, k)
+        U = dec.eigenvectors[:, 1 : k + 1]
+        c = U.T @ (dom.masses() * h)
+        proj = U @ c
+        direct = float(proj @ (S @ proj)) / dec.eigenvalues[1]
+        # either evaluation rounds by up to about eps |U||c|^T |S| |U||c| / lambda_1;
+        # on graded weights that exceeds 1e-12 of the value (seen: 1.3e-11, with
+        # the direct form itself 9.6e-12 off a long-double sum over the edges)
+        bound = np.abs(U) @ np.abs(c)
+        scale = float(bound @ (abs(S) @ bound)) / dec.eigenvalues[1]
+        assert rep.mid_term == pytest.approx(direct, rel=1e-12, abs=1e-12 * scale)
+        # the block grows to the largest k asked for and is reused below it
+        assert (dec._gram is before) == (k <= largest)
+        largest = max(largest, k)
+        assert dec._gram.shape == (largest + 1, largest + 1)
+    assert other._gram is None
+    refinement_check(other, h, 1)
+    assert other._gram is not dec._gram
 
 
 # ---------------------------------------------------------------------------
