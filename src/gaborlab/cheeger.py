@@ -176,9 +176,6 @@ def cheeger_upper_bound(
     chain_slack / h_upper; the hidden constants of the chain are not
     claimed, only recorded against the configured slack.
     """
-    family = list(family)
-    if not family:
-        raise InadmissibleCutError("empty cut family")
     best = None
     for cut in family:
         try:

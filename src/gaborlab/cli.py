@@ -46,11 +46,13 @@ from .signals import GaussianSum, gaussian
 from .spectral import (
     RESIDUAL_CONTRACT,
     SolverConvergenceError,
+    WeightedDomain,
     build_weighted_domain,
     poincare_estimate,
     refinement_check,
     solve_spectrum,
     variation_bound_check,
+    weighted_domain_from_values,
 )
 
 MASS_99_RADIUS = math.sqrt(math.log(100.0) / math.pi)
@@ -275,27 +277,22 @@ def _build_domain(cfg):
                                grid, cfg["corridor_sigma"], cfg["floor_rel"])
     R, n = cfg["R"], cfg["n"]
     grid = TFGrid(-R, R, -R, R, n, n)
-    mask = disk_mask(grid, R)
     if cfg["weight"] == "gaussian":
         sig = gaussian()
     else:
         sig = _make_pair(cfg["weight"], cfg["a"], cfg["gamma"]).plus
     mag = gabor_magnitude_field(sig, grid)
-    return build_weighted_domain(mag, cfg["p"], mask, cfg["floor_rel"])
+    return build_weighted_domain(mag, cfg["p"], disk_mask(grid, R), cfg["floor_rel"])
 
 
 def _domain_record(domain, dec=None):
-    """The domain's size and weight-floor engagement, and the solve on it
-    when given: the nodes whose weight sits at floor_applied and their
-    share of the domain's mass."""
-    weights = domain.node_weights()
-    floored = weights == domain.floor_applied
+    """The domain's size, what its trim level removed of the input mask, and the solve."""
+    kept, trimmed = domain.node_weights().sum(), domain.weight[domain.trimmed]
     rec = {
-        "floor_applied": domain.floor_applied,
         "n_nodes": domain.n_nodes,
-        "floor_nodes": int(floored.sum()),
-        "floor_node_share": float(floored.mean()),
-        "floor_mass_share": float(weights[floored].sum() / weights.sum()),
+        "trimmed_nodes": trimmed.size,
+        "trimmed_node_share": trimmed.size / (domain.n_nodes + trimmed.size),
+        "trimmed_mass_share": float(trimmed.sum() / (kept + trimmed.sum())),
     }
     if dec is not None:
         rec.update(max_residual=float(dec.residuals.max()), solver_path=dec.path,
@@ -340,13 +337,17 @@ _VARIATION_DEFAULTS = dict(
 
 
 def cmd_variation(cfg):
-    base_cfg = dict(cfg, weight="gaussian", floor_rel=min(cfg["floor_rel"], 1e-14))
-    dom_a = _build_domain(base_cfg)
+    dom_a = _build_domain(dict(cfg, weight="gaussian"))
+    disk = dom_a.mask | dom_a.trimmed
     if cfg["mode"] == "scaled":
-        dom_b = dom_a.__class__(dom_a.grid, dom_a.mask, cfg["scale"] * dom_a.weight,
-                                cfg["scale"] * dom_a.floor_applied)
+        dom_b = weighted_domain_from_values(dom_a.grid, cfg["scale"] * dom_a.weight,
+                                            disk, cfg["floor_rel"])
     else:
         dom_b = _build_domain(dict(cfg, weight="fpm"))
+    # the lemma compares two weights on one Omega: the nodes both trims kept
+    shared = dom_a.mask & dom_b.mask
+    dom_a, dom_b = (WeightedDomain(d.grid, shared, d.weight, disk & ~shared)
+                    for d in (dom_a, dom_b))
     report = variation_bound_check(dom_a, dom_b, cfg["p"])
     payload = {
         "A": report.ratio_min, "B": report.ratio_max,

@@ -46,7 +46,8 @@ class WeightedDomain:
     grid: TFGrid
     mask: np.ndarray = field(repr=False)
     weight: np.ndarray = field(repr=False)
-    floor_applied: float
+    # the input-mask nodes below weighted_domain_from_values' trim level
+    trimmed: np.ndarray | None = field(default=None, repr=False)
     _ops: tuple | None = field(default=None, repr=False, compare=False)
     _cuts: object | None = field(default=None, repr=False, compare=False)
 
@@ -55,8 +56,9 @@ class WeightedDomain:
 
         self.mask = np.asarray(self.mask, dtype=bool)
         self.weight = np.asarray(self.weight, dtype=float)
-        if self.mask.shape != self.grid.shape or self.weight.shape != self.grid.shape:
-            raise ValueError("mask/weight shape must match the grid")
+        self.trimmed = np.zeros(self.grid.shape, bool) if self.trimmed is None else self.trimmed
+        if any(a.shape != self.grid.shape for a in (self.mask, self.weight, self.trimmed)):
+            raise ValueError("mask/weight/trimmed shape must match the grid")
         if not self.mask.any():
             raise ValueError("mask is empty")
         if np.any(self.weight[self.mask] <= 0):
@@ -82,22 +84,27 @@ class WeightedDomain:
 
 
 def build_weighted_domain(mag, p, mask, floor_rel=DEFAULT_FLOOR_REL) -> WeightedDomain:
-    """Domain with weight max(|G f|^p, floor_rel * max |G f|^p) on the mask."""
+    """Domain with weight |G f|^p on the mask, trimmed to |G f|^p >= floor_rel * max."""
     return weighted_domain_from_values(mag.grid, mag.values ** p, mask, floor_rel)
 
 
 def weighted_domain_from_values(grid, values, mask=None,
                                 floor_rel=DEFAULT_FLOOR_REL) -> WeightedDomain:
-    """Domain from a synthetic weight array (already the measure density)."""
+    """Domain from a synthetic weight array (already the measure density), on
+    the mask's nodes where it reaches floor_rel * its maximum, the trim level."""
     if not (0.0 < floor_rel <= 1e-6):
         raise ValueError("floor_rel must lie in (0, 1e-6]")
     values = np.asarray(values, dtype=float)
-    if mask is None:
-        mask = np.ones(grid.shape, dtype=bool)
-    floor = floor_rel * float(values.max())
-    if floor <= 0:
-        raise ValueError("weight is identically zero")
-    return WeightedDomain(grid, mask, np.maximum(values, floor), floor)
+    mask = np.ones(grid.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    level = floor_rel * float(values.max())
+    kept = mask & (values >= level)
+    try:
+        return WeightedDomain(grid, kept, values, mask & ~kept)
+    except ValueError as exc:
+        if not kept.any() or np.array_equal(kept, mask):
+            raise
+        raise ValueError(f"the weight's super-level set at the trim level {level:.3g}"
+                         f" (floor_rel {floor_rel:g} of its maximum) splits") from exc
 
 
 def assemble_operators(domain: WeightedDomain):
@@ -155,10 +162,6 @@ class SpectralDecomposition:
     lu_solves: int  # solves with the LU of S + c M; 0 on the dense branch
     # U^T S U over the leading columns, grown on demand by refinement_check
     _gram: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def m(self):
-        return len(self.eigenvalues) - 1
 
 
 def solve_spectrum(domain: WeightedDomain, m: int) -> SpectralDecomposition:
@@ -251,8 +254,8 @@ def _shift_invert_basis(domain, S, mass, k):
             f"ARPACK did not converge for {k} pairs on {n} nodes"
             f" ({len(exc.eigenvalues)} converged)"
         ) from exc
-    # floored weights span ~14 decades; inverse iteration with the same
-    # LU brings the Ritz block's residuals under the contract
+    # trimmed weights still span up to 1/floor_rel; inverse iteration with
+    # the same LU brings the Ritz block's residuals under the contract
     for _ in range(2):
         basis = lu.solve(mass[:, None] * basis)
     return basis, calls + 2 * k
@@ -333,7 +336,7 @@ def refinement_check(dec: SpectralDecomposition, h, k: int) -> RefinementReport:
     c^T G c for those coefficients c and the Gram block G = U^T S U of the
     first k+1 pairs, which dec caches and regrows only for a larger k.
     """
-    if not (1 <= k < dec.m):
+    if not (1 <= k < len(dec.eigenvalues) - 1):
         raise ValueError("k must satisfy 1 <= k < m")
     domain = dec.domain
     S, mass = domain.operators()
@@ -374,8 +377,7 @@ class VariationReport:
     decomposition_b: SpectralDecomposition = field(repr=False)
 
 
-def variation_bound_check(dA: WeightedDomain, dB: WeightedDomain, p=2.0,
-                          m=2) -> VariationReport:
+def variation_bound_check(dA: WeightedDomain, dB: WeightedDomain, p=2.0) -> VariationReport:
     """Compare Poincare constants of two weights on the same masked grid.
 
     Asserts the two-sided factor-2 bound (A/B)^{1/p}/2 <= C'/C <=
@@ -388,7 +390,7 @@ def variation_bound_check(dA: WeightedDomain, dB: WeightedDomain, p=2.0,
         raise ValueError("domains must share grid and mask")
     r = dB.node_weights() / dA.node_weights()
     A, B = float(r.min()), float(r.max())
-    dec_a, dec_b = solve_spectrum(dA, m), solve_spectrum(dB, m)
+    dec_a, dec_b = solve_spectrum(dA, 2), solve_spectrum(dB, 2)
     Ca, Cb = poincare_estimate(dec_a), poincare_estimate(dec_b)
     ratio = Cb / Ca
     paper_lo = (A / B) ** (1.0 / p) / 2.0

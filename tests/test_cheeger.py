@@ -185,6 +185,19 @@ def test_dumbbell_parameter_validation():
         dumbbell_weight(3.0, 1.5, 0.35, grid)
 
 
+def test_dumbbell_whose_super_level_set_splits_is_rejected():
+    # the CLI's dumbbell grid: a 1e-15 corridor and bump tails of 1e-16 at
+    # the middle leave two pieces above the 1e-14 level, and the error says
+    # so in terms of the level, not of a mask the caller never gave
+    grid = TFGrid(-4.05, 4.05, -1.5, 1.5, 101, 41)
+    with pytest.raises(ValueError, match=r"super-level set at the trim level 1e-14 "
+                       r"\(floor_rel 1e-14 of its maximum\) splits") as exc:
+        dumbbell_weight(6.0, 1e-15, 0.35, grid)
+    assert "mask" not in str(exc.value)
+    # a level under the corridor's 1e-15 keeps its centre line: one domain
+    assert dumbbell_weight(6.0, 1e-15, 0.35, grid, floor_rel=1e-16).mask[:, 20].all()
+
+
 def test_chain_ok_recorded():
     dom = fpm_domain(0.5, 1.0, n=61)
     rep = cheeger_upper_bound(dom, vertical_cut_family(-3.0, 3.5, 41))

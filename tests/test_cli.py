@@ -273,17 +273,47 @@ def test_spectral_reports_record_the_solve(tmp_path, args, path):
         assert rec["n_nodes"] == prov["n_nodes"]
 
 
-@pytest.mark.parametrize("args, floored, mass_share", [
-    # 36% of the default Gaussian disk's nodes sit at the 1e-14 floor
-    ([], 2800, 1.792e-13),
-    (["--weight", "dumbbell"], 0, 0.0),
+@pytest.mark.parametrize("args, n_nodes, trimmed, mass_share", [
+    # 36% of the default Gaussian disk's 7,841 nodes lie below the 1e-14
+    # level, with 9.8e-15 of its mass
+    ([], 5041, 2800, 9.792e-15),
+    (["--weight", "dumbbell"], 6060, 0, 0.0),
 ])
-def test_spectral_reports_record_the_floor_engagement(tmp_path, args, floored, mass_share):
+def test_spectral_reports_record_the_trim(tmp_path, args, n_nodes, trimmed, mass_share):
     assert run(["poincare", *args, "--out-dir", tmp_path]) == 0
     prov = json.loads((tmp_path / "poincare.json").read_text())["provenance"]
-    assert prov["floor_nodes"] == floored
-    assert prov["floor_node_share"] == floored / prov["n_nodes"]
-    assert prov["floor_mass_share"] == pytest.approx(mass_share, rel=1e-3, abs=0.0)
+    assert prov["n_nodes"] == n_nodes
+    assert prov["trimmed_nodes"] == trimmed
+    assert prov["trimmed_node_share"] == trimmed / (n_nodes + trimmed)
+    assert prov["trimmed_mass_share"] == pytest.approx(mass_share, rel=1e-3, abs=0.0)
+    assert not any(key.startswith("floor_") for key in prov)
+
+
+def test_default_gaussian_domain_meets_the_oracle(tmp_path):
+    # the trimmed disk is a super-level set of the log-concave e^{-pi |z|^2},
+    # on which lambda_1 = 2 pi, twice, and the Poincare constant 1/sqrt(2 pi)
+    assert run(["poincare", "--out-dir", tmp_path]) == 0
+    assert run(["spectrum", "--out-dir", tmp_path]) == 0
+    poincare = json.loads((tmp_path / "poincare.json").read_text())
+    spectrum = json.loads((tmp_path / "spectrum.json").read_text())
+    assert abs(poincare["payload"]["poincare"] - 1 / math.sqrt(2 * math.pi)) <= 1e-3
+    lam = spectrum["payload"]["eigenvalues"]
+    assert lam[1:3] == pytest.approx([2 * math.pi] * 2, rel=1e-3)
+    for rep in (poincare, spectrum):
+        assert rep["provenance"]["max_residual"] <= RESIDUAL_CONTRACT
+
+
+def test_variation_compares_both_weights_on_the_nodes_both_keep(tmp_path):
+    # the Gaussian and the fpm weight each lose their own nodes to the level;
+    # both are solved on what remains, and each record counts the disk nodes
+    # outside it as trimmed
+    assert run(["variation", "--out-dir", tmp_path]) == 0
+    rep = json.loads((tmp_path / "variation.json").read_text())
+    prov = rep["provenance"]
+    assert prov["n_nodes"] == prov["varied"]["n_nodes"] == 5040
+    for rec in (prov, prov["varied"]):
+        assert rec["n_nodes"] + rec["trimmed_nodes"] == 7841
+    assert rep["payload"]["paper_ok"] and rep["payload"]["spectral_ok"]
 
 
 def test_reports_carry_the_library_versions(tmp_path):
@@ -312,13 +342,15 @@ def test_reports_carry_the_library_versions(tmp_path):
 
 
 def test_solver_failure_exits_4_with_a_report(tmp_path, capsys):
-    # the default Gaussian on 29 nodes spans 14 decades of weight, and its
-    # dense solve misses the residual contract
-    assert run(["spectrum", "-n", 7, "-m", 4, "--out-dir", tmp_path]) == 4
+    # the default Gaussian on 29 nodes spans 14 decades of weight, all kept
+    # at a level of 1e-30, and its dense solve misses the residual contract
+    assert run(["spectrum", "-n", 7, "-m", 4, "--floor-rel", 1e-30,
+                "--out-dir", tmp_path]) == 4
     assert "solver failure" in capsys.readouterr().err
     rep = json.loads((tmp_path / "spectrum.json").read_text())
     assert rep["command"] == "spectrum"
     assert rep["config"]["n"] == 7 and rep["config"]["m"] == 4
+    assert rep["config"]["floor_rel"] == 1e-30
     payload = rep["payload"]
     assert payload["status"] == "solver_failure"
     assert "residuals exceed" in payload["message"]
@@ -391,6 +423,10 @@ def exit_code(args):
     (["threshold"], [1, 2], "JSON object"),
     (["figure1a", "--preset", "fig1b"], None, "--preset"),
     (["refine", "--n-fields", 0], None, "n_fields"),
+    # two bumps 6 apart whose 1e-15 corridor lies below the 1e-14 level
+    (["cheeger", "--weight", "dumbbell", "--separation", 6, "--bridge", 1e-15],
+     None, "super-level set at the trim level 1e-14 (floor_rel 1e-14 of its"
+     " maximum) splits"),
 ])
 def test_rejected_input_exits_1(tmp_path, capsys, args, config, message):
     if config is not None:

@@ -42,8 +42,8 @@ def gaussian_disk_domain(n, R, floor_rel=1e-30):
 
 
 def floored_fpm_disk_domain():
-    # a = 0.5, gamma = 1 puts roots inside the disk, so the 1e-14 floor
-    # engages and the node masses span ~14 decades
+    # a = 0.5, gamma = 1 puts roots inside the disk: the 1e-14 level trims
+    # the nodes next to them, and the kept node masses still span ~14 decades
     grid = TFGrid(-4.0, 4.0, -4.0, 4.0, 55, 55)
     mag = gabor_magnitude_field(make_fpm(0.5, 1.0).plus, grid)
     return build_weighted_domain(mag, 2.0, disk_mask(grid, 4.0), 1e-14)
@@ -72,15 +72,20 @@ def uniform_square_domain(n, side=1.0):
 # ---------------------------------------------------------------------------
 
 
-def test_build_weighted_domain_weights_and_floor():
-    grid = TFGrid(-3, 3, -3, 3, 61, 61)
+def test_build_weighted_domain_weights_and_trim():
+    grid = TFGrid(-4, 4, -4, 4, 81, 81)
+    disk = disk_mask(grid, 4.0)
     mag = gabor_magnitude_field(gaussian(), grid)
-    dom = build_weighted_domain(mag, 2.0, disk_mask(grid, 3.0), 1e-14)
+    dom = build_weighted_domain(mag, 2.0, disk, 1e-14)
     X, W = grid.mesh()
-    expect = np.maximum(np.exp(-np.pi * (X**2 + W**2)), 1e-14)
-    sel = dom.mask
-    assert np.max(np.abs(dom.weight[sel] - expect[sel])) <= 1e-12
-    assert dom.floor_applied == pytest.approx(1e-14, rel=1e-10)
+    w = np.exp(-np.pi * (X**2 + W**2))
+    assert np.max(np.abs(dom.weight[dom.mask] - w[dom.mask])) <= 1e-12
+    # the weight is |G f|^2 as given; only the mask shrinks, to the rim's
+    # super-level set
+    np.testing.assert_array_equal(dom.weight, mag.values ** 2)
+    np.testing.assert_array_equal(dom.mask, disk & (w >= 1e-14))
+    np.testing.assert_array_equal(dom.trimmed, disk & ~dom.mask)
+    assert 0 < dom.trimmed.sum() < dom.n_nodes
 
 
 def test_constant_magnitude_gives_uniform_weight():
@@ -90,23 +95,32 @@ def test_constant_magnitude_gives_uniform_weight():
     dom = build_weighted_domain(MagnitudeField(grid, np.ones(grid.shape)), 2.0,
                                 np.ones(grid.shape, bool))
     assert np.all(dom.weight == 1.0)
+    assert dom.mask.all() and not dom.trimmed.any()
 
 
-def test_floor_engages_exactly_at_root_nodes():
+def test_trim_removes_the_root_nodes():
     # gamma past threshold puts roots inside the domain; align the grid so
-    # the roots are nodes, then the floored nodes are exactly those
+    # the roots are nodes: the level trims each of them and nothing farther
+    # than a grid diagonal from one
     a, gamma = 0.5, 1.0
     grid = TFGrid(-1, 3, -2, 2, 81, 81)  # nodes at (1, +-0.25): dx = dw = 0.05
     mask = disk_mask(grid, 2.0, center=(1.0, 0.0))
     mag = gabor_magnitude_field(make_fpm(a, gamma).plus, grid)
     dom = build_weighted_domain(mag, 2.0, mask, 1e-14)
-    floored = dom.mask & (dom.weight <= dom.floor_applied)
-    assert floored.sum() > 0
+    np.testing.assert_array_equal(dom.trimmed, mask & ~dom.mask)
     roots = root_set_fpm(a, gamma, +1, -8, 8)
     X, W = grid.mesh()
-    for i, j in zip(*np.nonzero(floored)):
+    diagonal = math.hypot(grid.dx, grid.dw)
+    for i, j in zip(*np.nonzero(dom.trimmed)):
         d = np.min(np.hypot(roots[:, 0] - X[i, j], roots[:, 1] - W[i, j]))
-        assert d <= math.hypot(grid.dx, grid.dw)
+        assert d <= diagonal
+    inside = roots[np.hypot(roots[:, 0] - 1.0, roots[:, 1]) <= 2.0]
+    assert len(inside) > 0
+    for x, w in inside:
+        i = int(round((x - grid.x_min) / grid.dx))
+        j = int(round((w - grid.w_min) / grid.dw))
+        assert math.hypot(X[i, j] - x, W[i, j] - w) <= 1e-9
+        assert dom.trimmed[i, j] and not dom.mask[i, j]
 
 
 def test_domain_validation():
@@ -124,6 +138,39 @@ def test_domain_validation():
                                     np.zeros(grid.shape, bool))
     with pytest.raises(ValueError):
         weighted_domain_from_values(grid, np.ones(grid.shape), floor_rel=1e-3)
+    # a zero weight keeps every node at its zero level, and zero weights are
+    # rejected
+    with pytest.raises(ValueError, match="strictly positive"):
+        weighted_domain_from_values(grid, np.zeros(grid.shape))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 9), st.integers(2, 9), st.integers(0, 2**32 - 1),
+       st.floats(0.0, 1.0), st.floats(-14.0, -6.0))
+def test_domain_is_the_mask_trimmed_to_the_super_level_set(nx, nw, seed, density,
+                                                           log_rel):
+    from scipy.ndimage import label
+
+    grid = TFGrid(0.0, 1.0, 0.0, 1.0, nx, nw)
+    rng = np.random.default_rng(seed)
+    # weights over 16 decades around the level, one node other than the
+    # maximum exactly at it
+    values = 10.0 ** rng.uniform(-16.0, 0.0, grid.shape)
+    floor_rel = 10.0 ** log_rel
+    level = floor_rel * values.max()
+    tie = rng.integers(values.size - 1)
+    values.flat[tie + (tie >= values.argmax())] = level
+    mask = rng.random(grid.shape) < density
+    expected = mask & (values >= level)
+    # label's default structure in 2D is the 4-neighbour cross
+    if label(expected)[1] != 1:
+        with pytest.raises(ValueError):
+            weighted_domain_from_values(grid, values.copy(), mask, floor_rel)
+        return
+    dom = weighted_domain_from_values(grid, values.copy(), mask, floor_rel)
+    np.testing.assert_array_equal(dom.mask, expected)
+    np.testing.assert_array_equal(dom.trimmed, mask & ~expected)
+    np.testing.assert_array_equal(dom.weight, values)
 
 
 # ---------------------------------------------------------------------------
@@ -255,11 +302,16 @@ def test_dense_branch_matches_shift_invert_and_meets_contract():
 
 @pytest.mark.parametrize("n, floor_rel", [(7, 1e-9), (5, 1e-13)])
 def test_dense_branch_solves_graded_coarse_disks(n, floor_rel):
-    # coarse disks of R = 4 whose floored weights span 1e9 and 1e13, inside
-    # the range of the CLI's default 1e-14 floor: syevr meets the contract
-    # on both (max residual 6e-10 and 1.1e-9), while divide-and-conquer
-    # syevd on the same D S D misses it (1.8e-7 and 3.5e-8)
-    dom = gaussian_disk_domain(n, 4.0, floor_rel)
+    # coarse disks of R = 4 whose weights, raised to floor_rel of their
+    # maximum, span 1e9 and 1e13, inside the range of the CLI's default
+    # 1e-14 level: syevr meets the contract on both (max residual 6e-10 and
+    # 1.1e-9), while divide-and-conquer syevd on the same D S D misses it
+    # (1.8e-7 and 3.5e-8).  The level below the raised weights trims nothing.
+    grid = TFGrid(-4.0, 4.0, -4.0, 4.0, n, n)
+    w = gabor_magnitude_field(gaussian(), grid).values ** 2
+    dom = weighted_domain_from_values(grid, np.maximum(w, floor_rel * w.max()),
+                                      disk_mask(grid, 4.0), floor_rel=1e-30)
+    assert not dom.trimmed.any()
     w = dom.node_weights()
     assert w.max() / w.min() == pytest.approx(1.0 / floor_rel)
     dec = solve_spectrum(dom, 4)
@@ -531,34 +583,41 @@ def test_full_basis_parseval():
 # seen to fail on domains drawn like small_domains: 6.4e8 over 40,000
 # dense solves, 4.3e12 over 9,000 draws of both (CHANGES.md, FOUND).
 SOLVABLE_SPREAD = {"dense": 1e8, "shift-invert": 1e12}
-# below every floor small_domains draws: rebuilt weights keep their values
-NO_FLOOR = 1e-46
+# a trim level below every node of small_domains, also after a weight change
+# by a factor within [0.1, 1.9] (its floor_rel is at least 1e-45): domains
+# rebuilt from its weights keep every node
+KEEP_EVERY_NODE = 1e-47
 
 
 @st.composite
 def small_domains(draw):
-    """Grown 4-connected mask of 3 to 300 nodes on a symmetric grid, weighted
-    by one Gaussian bump and floored at 1e-45 to 1e-6 of its maximum."""
+    """4-connected mask of 3 to 300 nodes on a symmetric grid, grown from a
+    seed through the super-level set of one Gaussian bump at 1e-45 to 1e-6
+    of its maximum, and weighted by that bump: the trim keeps every node."""
     nx, nw = draw(st.integers(2, 20)), draw(st.integers(2, 20))
     step = draw(st.floats(0.1, 0.3))
     half_x, half_w = step * (nx - 1) / 2.0, step * (nw - 1) / 2.0
     grid = TFGrid(-half_x, half_x, -half_w, half_w, nx, nw)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     size = draw(st.integers(3, min(nx * nw, 300)))
+    X, W = grid.mesh()
+    cx, cw = draw(st.floats(-half_x, half_x)), draw(st.floats(-half_w, half_w))
+    values = np.exp(-math.pi * draw(st.floats(0.1, 2.0)) * ((X - cx) ** 2 + (W - cw) ** 2))
+    floor_rel = 10.0 ** draw(st.floats(-45.0, -6.0))
+    above = values >= floor_rel * values.max()
+    seeds = np.argwhere(above)
     mask = np.zeros(grid.shape, bool)
-    mask[rng.integers(nx), rng.integers(nw)] = True
+    mask[tuple(seeds[rng.integers(len(seeds))])] = True
     while mask.sum() < size:
         grow = np.zeros_like(mask)
         grow[1:] |= mask[:-1]
         grow[:-1] |= mask[1:]
         grow[:, 1:] |= mask[:, :-1]
         grow[:, :-1] |= mask[:, 1:]
-        frontier = np.argwhere(grow & ~mask)
+        frontier = np.argwhere(grow & above & ~mask)
+        if not len(frontier):
+            break
         mask[tuple(frontier[rng.integers(len(frontier))])] = True
-    X, W = grid.mesh()
-    cx, cw = draw(st.floats(-half_x, half_x)), draw(st.floats(-half_w, half_w))
-    values = np.exp(-math.pi * draw(st.floats(0.1, 2.0)) * ((X - cx) ** 2 + (W - cw) ** 2))
-    floor_rel = 10.0 ** draw(st.floats(-45.0, -6.0))
     return weighted_domain_from_values(grid, values, mask, floor_rel)
 
 
@@ -607,7 +666,7 @@ def test_solver_pairs_are_ordered_orthonormal_and_within_contract(dom, m):
 def test_spectrum_is_invariant_under_power_of_two_weight_scaling(dom, m, k):
     m = pair_count(dom, m)
     scaled = weighted_domain_from_values(dom.grid, np.ldexp(dom.weight, k), dom.mask,
-                                         floor_rel=NO_FLOOR)
+                                         floor_rel=KEEP_EVERY_NODE)
     a, b = solve_or_none(dom, m), solve_or_none(scaled, m)
     assume(a is not None and b is not None)
     assert_same_spectrum(a, b)
@@ -618,7 +677,7 @@ def test_spectrum_is_invariant_under_power_of_two_weight_scaling(dom, m, k):
 def test_spectrum_is_invariant_under_mirroring(dom, m, axis):
     m = pair_count(dom, m)
     mirrored = weighted_domain_from_values(dom.grid, np.flip(dom.weight, axis),
-                                           np.flip(dom.mask, axis), floor_rel=NO_FLOOR)
+                                           np.flip(dom.mask, axis), floor_rel=KEEP_EVERY_NODE)
     a, b = solve_or_none(dom, m), solve_or_none(mirrored, m)
     assume(a is not None and b is not None)
     assert_same_spectrum(a, b)
@@ -629,7 +688,7 @@ def test_spectrum_is_invariant_under_mirroring(dom, m, axis):
 def test_poincare_ratio_within_weight_ratio_bounds(dom, eps, seed):
     wobble = np.random.default_rng(seed).uniform(-1.0, 1.0, dom.grid.shape)
     varied = weighted_domain_from_values(dom.grid, dom.weight * (1.0 + eps * wobble),
-                                         dom.mask, floor_rel=NO_FLOOR)
+                                         dom.mask, floor_rel=KEEP_EVERY_NODE)
     assume(solve_or_none(dom, 2) is not None and solve_or_none(varied, 2) is not None)
     rep = variation_bound_check(dom, varied)
     assert rep.spectral_ok and rep.paper_ok
