@@ -10,6 +10,7 @@ for identical configurations.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -34,7 +35,6 @@ from .counterexamples import (
     make_gpm,
     make_hpm,
     pair_magnitude,
-    root_set_fpm,
     root_set_pair,
     tilt_magnitude,
     verify_pair,
@@ -90,6 +90,8 @@ def _out(cfg, name):
 # spectrogram / figure1a / figure1b
 # ---------------------------------------------------------------------------
 
+# preset is fixed per command, not a flag: it names the outputs and picks
+# the shifted hpm pair of the figures
 _SPECTROGRAM_DEFAULTS = dict(
     signal="gaussian", sign="plus", a=0.5, gamma=0.1, tau=0.0, theta=0.0,
     xmin=-4.0, xmax=4.0, wmin=-4.0, wmax=4.0, nx=201, nw=201,
@@ -98,12 +100,11 @@ _SPECTROGRAM_DEFAULTS = dict(
 
 # fig1a: the two-bump counterexample spectrogram at a = 1/6, time-shifted so
 # the maxima sit at (0, 0) and (1/a, 0); fig1b: its Bargmann tilt, tau = 1/10
-_PRESETS = {
-    "fig1a": dict(signal="hpm", a=1.0 / 6.0, tau=0.0,
-                  xmin=-2.0, xmax=8.0, wmin=-5.0, wmax=5.0, nx=201, nw=201),
-    "fig1b": dict(signal="hpm", a=1.0 / 6.0, tau=0.1,
-                  xmin=-2.0, xmax=8.0, wmin=-5.0, wmax=5.0, nx=201, nw=201),
-}
+_FIGURE1A_DEFAULTS = dict(
+    _SPECTROGRAM_DEFAULTS, signal="hpm", a=1.0 / 6.0,
+    xmin=-2.0, xmax=8.0, wmin=-5.0, wmax=5.0, preset="fig1a",
+)
+_FIGURE1B_DEFAULTS = dict(_FIGURE1A_DEFAULTS, tau=0.1, preset="fig1b")
 
 
 def _shifted_hpm(a):
@@ -123,7 +124,7 @@ def _spectrogram_field(cfg):
         return gabor_magnitude_field(gaussian(), grid)
     if cfg["tau"] > 0.0 and cfg["theta"] != 0.0:
         raise ValueError("tilted spectrograms do not compose with rotation")
-    if sig == "hpm" and cfg["preset"] in ("fig1a", "fig1b"):
+    if sig == "hpm" and cfg["preset"]:
         pair = _shifted_hpm(cfg["a"])
     else:
         pair = _make_pair(sig, cfg["a"], cfg["gamma"], cfg["theta"])
@@ -170,16 +171,7 @@ def cmd_verify(cfg):
     )
     report = verify_pair(pair, lattice, tol=cfg["tol"],
                          noneq_floor=cfg["noneq_floor"])
-    payload = {
-        "max_abs_dev": report.max_abs_dev,
-        "max_rel_dev": report.max_rel_dev,
-        "d_X2": report.d_X2,
-        "passed": report.passed,
-        "n_lines": report.n_lines,
-        "n_samples": report.n_samples,
-        "roots_plus": report.roots_plus,
-        "roots_minus": report.roots_minus,
-    }
+    payload = dataclasses.asdict(report)
     # negated comparisons, so that a NaN deviation or distance fails
     if not report.max_rel_dev <= cfg["tol"]:
         print(f"agreement FAILED: max relative deviation {report.max_rel_dev:.3e}")
@@ -204,12 +196,29 @@ _ROOTS_DEFAULTS = dict(
 def cmd_roots(cfg):
     pair = _make_pair(cfg["kind"], cfg["a"], cfg["gamma"], cfg["theta"])
     rp, rm = root_set_pair(pair, cfg["k_min"], cfg["k_max"])
-    lines = ["set,x,omega"]
-    for name, pts in (("plus", rp), ("minus", rm)):
-        for x, w in pts:
-            lines.append(f"{name},{float(x)!r},{float(w)!r}")
-    io.atomic_write_text(_out(cfg, "roots.csv"), "\n".join(lines) + "\n")
+    _write_points(cfg, "roots.csv", "set", (("plus", rp), ("minus", rm)))
     return 0, {"roots_plus": rp, "roots_minus": rm}, None
+
+
+def _write_points(cfg, name, label, sets):
+    """A CSV of labelled points: a header row, then one row per point."""
+    lines = [f"{label},x,omega"]
+    for set_name, pts in sets:
+        for x, w in pts:
+            lines.append(f"{set_name},{float(x)!r},{float(w)!r}")
+    io.atomic_write_text(_out(cfg, name), "\n".join(lines) + "\n")
+
+
+def _gamma_0(a, R):
+    """The root-free-strip threshold e^{-(pi/a)(R - 1/(2a))}, unclamped."""
+    if not (a > 0 and R > 0):
+        raise ValueError("a and R must be positive")
+    try:
+        return math.exp(-(math.pi / a) * (R - 1.0 / (2.0 * a)))
+    except OverflowError:
+        raise ValueError(
+            f"gamma_0 = e^(-(pi/a)(R - 1/(2a))) overflows a double at a = {a!r}, R = {R!r}"
+        ) from None
 
 
 _THRESHOLD_DEFAULTS = dict(a=0.5, R=3.0, delta=1.0, out_dir=".")
@@ -218,12 +227,7 @@ _THRESHOLD_DEFAULTS = dict(a=0.5, R=3.0, delta=1.0, out_dir=".")
 def cmd_threshold(cfg):
     a, R = cfg["a"], cfg["R"]
     thr = gamma_threshold(a, R, cfg["delta"])
-    try:
-        gamma0 = math.exp(-(math.pi / a) * (R - 1.0 / (2.0 * a)))
-    except OverflowError:
-        raise ValueError(
-            f"gamma_0 = e^(-(pi/a)(R - 1/(2a))) overflows a double at a = {a!r}, R = {R!r}"
-        ) from None
+    gamma0 = _gamma_0(a, R)
     print(f"gamma_0 = {gamma0!r}, threshold = {thr!r}")
     return 0, {"gamma_0": gamma0, "threshold": thr, "delta": cfg["delta"]}, None
 
@@ -235,21 +239,16 @@ _FIGURE2_DEFAULTS = dict(
 
 
 def cmd_figure2(cfg):
-    a, gamma = cfg["a"], cfg["gamma"]
-    rp = root_set_fpm(a, gamma, +1, cfg["k_min"], cfg["k_max"])
-    rm = root_set_fpm(a, gamma, -1, cfg["k_min"], cfg["k_max"])
-    gamma0 = gamma_threshold(a, cfg["R"], 1.0)
-    lines = ["kind,x,omega"]
-    for name, pts in (("root_plus", rp), ("root_minus", rm)):
-        for x, w in pts:
-            lines.append(f"{name},{float(x)!r},{float(w)!r}")
-    for x, w in ((0.0, 0.0), (1.0 / a, 0.0)):
-        lines.append(f"maximum,{float(x)!r},{float(w)!r}")
-    io.atomic_write_text(_out(cfg, "figure2.csv"), "\n".join(lines) + "\n")
+    a = cfg["a"]
+    rp, rm = root_set_pair(make_fpm(a, cfg["gamma"]), cfg["k_min"], cfg["k_max"])
+    gamma0 = _gamma_0(a, cfg["R"])
+    maxima = [[0.0, 0.0], [1.0 / a, 0.0]]
+    _write_points(cfg, "figure2.csv", "kind",
+                  (("root_plus", rp), ("root_minus", rm), ("maximum", maxima)))
     payload = {
         "roots_plus": rp,
         "roots_minus": rm,
-        "maxima": [[0.0, 0.0], [1.0 / a, 0.0]],
+        "maxima": maxima,
         "gamma_0": gamma0,
         "mass_99_radius": MASS_99_RADIUS,
     }
@@ -331,12 +330,15 @@ def cmd_poincare(cfg):
     return 0, payload, _provenance(domain, dec)
 
 
+# the lemma compares |G f|^2 weights, so p is fixed at 2 and takes no flag
 _VARIATION_DEFAULTS = dict(
-    _DOMAIN_DEFAULTS, mode="fpm-vs-gaussian", scale=3.0, out_dir=".",
+    {key: val for key, val in _DOMAIN_DEFAULTS.items() if key != "p"},
+    mode="fpm-vs-gaussian", scale=3.0, out_dir=".",
 )
 
 
 def cmd_variation(cfg):
+    cfg = dict(cfg, p=2.0)
     dom_a = _build_domain(dict(cfg, weight="gaussian"))
     disk = dom_a.mask | dom_a.trimmed
     if cfg["mode"] == "scaled":
@@ -348,7 +350,7 @@ def cmd_variation(cfg):
     shared = dom_a.mask & dom_b.mask
     dom_a, dom_b = (WeightedDomain(d.grid, shared, d.weight, disk & ~shared)
                     for d in (dom_a, dom_b))
-    report = variation_bound_check(dom_a, dom_b, cfg["p"])
+    report = variation_bound_check(dom_a, dom_b)
     payload = {
         "A": report.ratio_min, "B": report.ratio_max,
         "constant_base": report.constant_a, "constant_varied": report.constant_b,
@@ -428,7 +430,7 @@ def cmd_cheeger(cfg):
 
 _PROBE_DEFAULTS = dict(
     kind="fpm", a=0.5, gamma=math.exp(-5.0 * math.pi), p=1.0, s=4.0,
-    R=3.0, n=121, q=None, out_dir=".",
+    R=3.0, n=121, out_dir=".",
 )
 
 
@@ -437,20 +439,12 @@ def cmd_probe(cfg):
     grid = TFGrid(-cfg["R"], cfg["R"], -cfg["R"], cfg["R"], cfg["n"], cfg["n"])
     mask = disk_mask(grid, cfg["R"])
     report = stability_probe(pair.plus, pair.minus, mask, grid, cfg["p"], cfg["s"])
-    payload = {
-        "alpha_star": report.alpha_star,
-        "numerator": report.numerator,
-        "denominator": report.denominator,
-        "ratio": report.ratio,
-        "infinite_ratio": report.infinite_ratio,
-        "ignored_q": cfg["q"],
-    }
-    return 0, payload, None
+    return 0, dataclasses.asdict(report), None
 
 
 _DNORM_DEFAULTS = dict(
     kind="fpm", a=0.5, gamma=0.1, p=1.0, s=4.0, k=1, R=4.0, n=161,
-    dnorm_consistent_powers=False, q=None, out_dir=".",
+    dnorm_consistent_powers=False, out_dir=".",
 )
 
 
@@ -463,11 +457,10 @@ def cmd_dnorm(cfg):
     value = measurement_norm_D(
         diff, cfg["p"], cfg["s"], cfg["k"],
         weight=np.abs(fp.values) ** cfg["p"],
-        consistent_powers=cfg["dnorm_consistent_powers"], q=cfg["q"],
+        consistent_powers=cfg["dnorm_consistent_powers"],
     )
     payload = {"value": value,
-               "dnorm_consistent_powers": cfg["dnorm_consistent_powers"],
-               "ignored_q": cfg["q"]}
+               "dnorm_consistent_powers": cfg["dnorm_consistent_powers"]}
     print(f"D-norm = {value!r}")
     return 0, payload, None
 
@@ -480,11 +473,8 @@ def cmd_dnorm(cfg):
 # <preset or that command>.json
 _COMMANDS = {
     "spectrogram": (cmd_spectrogram, _SPECTROGRAM_DEFAULTS, "spectrogram"),
-    # the figure commands are spectrogram with its preset fixed
-    "figure1a": (cmd_spectrogram, dict(_SPECTROGRAM_DEFAULTS, preset="fig1a"),
-                 "spectrogram"),
-    "figure1b": (cmd_spectrogram, dict(_SPECTROGRAM_DEFAULTS, preset="fig1b"),
-                 "spectrogram"),
+    "figure1a": (cmd_spectrogram, _FIGURE1A_DEFAULTS, "spectrogram"),
+    "figure1b": (cmd_spectrogram, _FIGURE1B_DEFAULTS, "spectrogram"),
     "verify": (cmd_verify, _VERIFY_DEFAULTS, "verify"),
     "roots": (cmd_roots, _ROOTS_DEFAULTS, "roots"),
     "threshold": (cmd_threshold, _THRESHOLD_DEFAULTS, "threshold"),
@@ -501,8 +491,8 @@ _COMMANDS = {
 # the types of the keys whose default is None; every other key takes the type
 # of its default
 _NONE_DEFAULT_TYPES = dict(
-    preset=str, lattice=str, extent=float, k_max=int, corridor_sigma=float,
-    cut_lo=float, cut_hi=float, q=float,
+    lattice=str, extent=float, k_max=int, corridor_sigma=float,
+    cut_lo=float, cut_hi=float,
 )
 
 _CHOICES = dict(
@@ -513,7 +503,6 @@ _CHOICES = dict(
     lattice=LATTICE_KINDS,
     mode=("fpm-vs-gaussian", "scaled"),
     cuts=("vertical", "circle"),
-    preset=tuple(_PRESETS),
 )
 
 
@@ -522,8 +511,8 @@ def _type(key, default):
 
 
 def _settable(table):
-    """The keys a user may set: all but a preset that the command fixes."""
-    return [key for key, val in table.items() if not (key == "preset" and val)]
+    """The keys a user may set: all but the preset that the command fixes."""
+    return [key for key in table if key != "preset"]
 
 
 def build_parser():
@@ -560,7 +549,7 @@ def _check(key, val, table):
 
 
 def _resolve(table, path, given):
-    """defaults <- preset <- config file <- flags given on the command line."""
+    """defaults <- config file <- flags given on the command line."""
     loaded = {}
     if path:
         with open(path) as fh:
@@ -569,8 +558,7 @@ def _resolve(table, path, given):
             raise ValueError("a config file must hold one JSON object")
         for key, val in loaded.items():
             _check(key, val, table)
-    preset = given.get("preset", loaded.get("preset", table.get("preset")))
-    return {**table, **_PRESETS.get(preset, {}), **loaded, **given}
+    return {**table, **loaded, **given}
 
 
 def main(argv=None):

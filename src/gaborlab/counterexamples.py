@@ -49,7 +49,10 @@ class Lattice:
     Lines sit at multiples of a (plus an optional absolute offset, used to
     probe off-lattice disagreement) and are sampled at line_sample_count
     points over [-line_extent, line_extent].  k_max limits how many lines
-    are taken; by default every line within the extent is used.
+    are taken; by default every line within the extent is used.  A
+    rectangular lattice takes those line levels on both axes, so offset
+    shifts it off a Z x a Z diagonally and k_max bounds both of its index
+    ranges; line_sample_count does not apply to it.
     """
 
     kind: str
@@ -84,21 +87,16 @@ class Lattice:
         return self.a * ks + self.offset
 
     def sample_points(self):
-        """(N, 2) array of sampling points in the rotated frame."""
-        t = np.linspace(-self.extent, self.extent, self.line_sample_count)
+        """(N, 2) array of sampling points in the rotated frame: each
+        along-line position paired with each line level."""
         levels = self.line_levels()
-        if self.kind == "horizontal_lines":
-            X = np.repeat(t, len(levels))
-            W = np.tile(levels, len(t))
-        elif self.kind == "vertical_lines":
-            X = np.tile(levels, len(t))
-            W = np.repeat(t, len(levels))
-        else:  # rectangular: points a Z x a Z within the extent
-            kmax = int(math.floor(self.extent / self.a))
-            ks = self.a * np.arange(-kmax, kmax + 1)
-            X, W = np.meshgrid(ks, ks, indexing="ij")
-            X, W = X.ravel(), W.ravel()
-        pts = np.column_stack([X, W])
+        if self.kind == "rectangular":
+            along = levels
+        else:
+            along = np.linspace(-self.extent, self.extent, self.line_sample_count)
+        X = np.repeat(along, len(levels))
+        W = np.tile(levels, len(along))
+        pts = np.column_stack([W, X] if self.kind == "vertical_lines" else [X, W])
         if self.theta != 0.0:
             pts = pts @ _rotation(self.theta).T
         return pts
@@ -365,6 +363,6 @@ def verify_pair(pair: CounterexamplePair, lattice: Lattice, tol=1e-9,
         roots_plus=rp,
         roots_minus=rm,
         passed=bool(max_rel <= tol and d > noneq_floor),
-        n_lines=lattice.n_lines if lattice.kind != "rectangular" else 0,
+        n_lines=lattice.n_lines,
         n_samples=len(pts),
     )

@@ -184,15 +184,13 @@ def measurement_norm_D(
     weight,
     mask=None,
     consistent_powers=False,
-    q=None,
 ):
     """Measurement-space norm: W^{k,p} norm + L^p norm + weighted s-moment.
 
     The first two terms are unweighted; the third is
     ||(|x|+|w|)^s F||_{L^p(Omega, w)} raised to the power p, transcribing the
     printed definition literally.  consistent_powers=True applies the 1/p
-    root to the third term instead (the likely-intended reading).  The
-    parameter q is accepted for interface compatibility and ignored.
+    root to the third term instead (the likely-intended reading).
 
     Derivatives (k = 1) use central differences, second-order one-sided at
     the grid boundary; k must be 0 or 1.
@@ -201,7 +199,6 @@ def measurement_norm_D(
     imaginary part that is identically zero.  The norm is computed in real
     arithmetic.
     """
-    del q  # recorded by callers, never used in the value
     if k not in (0, 1):
         raise ValueError("k must be 0 or 1")
     if p < 1:
@@ -267,7 +264,6 @@ def stability_probe(
     p,
     s,
     denominator_mask=None,
-    consistent_powers=False,
 ):
     """Probe the local stability constant of f against the candidate g.
 
@@ -296,7 +292,7 @@ def stability_probe(
     # |G f| - |G g| is real: the norm's core takes it without a complex copy
     denominator = _measurement_norm_real(
         mag_f.values - np.abs(Fg.values), grid, p, s, 1, mag_f.values**p,
-        denominator_mask, consistent_powers,
+        denominator_mask, consistent_powers=False,
     )
 
     alpha = alpha % (2 * math.pi)

@@ -174,13 +174,13 @@ def test_criterion_05_variation_lemma():
     dom = gaussian_disk_domain(n, 3.0, floor_rel=1e-14)
     scaled = weighted_domain_from_values(dom.grid, 3.0 * dom.weight, dom.mask,
                                          floor_rel=1e-14)
-    rep_scale = variation_bound_check(dom, scaled, 2.0)
+    rep_scale = variation_bound_check(dom, scaled)
     ok = abs(rep_scale.ratio - 1.0) <= 1e-8
 
     a, R, delta = 0.5, 3.0, 0.5
     gamma = 0.9 * gamma_threshold(a, R, delta)
     dom_f = fpm_disk_domain(a, gamma, R, n, floor_rel=1e-14)
-    rep_f = variation_bound_check(dom, dom_f, 2.0)
+    rep_f = variation_bound_check(dom, dom_f)
     envelope = 2.0 * math.sqrt(rep_f.ratio_max / rep_f.ratio_min)
     ok = ok and (1 / 3 <= rep_f.ratio <= 3.0) and rep_f.ratio <= envelope
     ok = ok and rep_f.paper_ok and rep_f.spectral_ok

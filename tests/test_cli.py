@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaborlab.cli import _COMMANDS, build_parser, main
+from gaborlab.cli import _COMMANDS, build_parser, cmd_spectrogram, main
 from gaborlab.io import read_field_csv
 from gaborlab.spectral import RESIDUAL_CONTRACT, SolverConvergenceError
 
@@ -41,6 +41,11 @@ def test_verify_exit_codes(tmp_path):
     assert run(["verify", "--kind", "fpm", *out]) == 0
     # deliberately sampling between the agreement lines
     assert run(["verify", "--kind", "fpm", "--offset", 0.25, *out]) == 2
+    # a rectangular lattice takes the offset on both axes
+    assert run(["verify", "--kind", "fpm", "--lattice", "rectangular",
+                "--offset", 0.25, *out]) == 2
+    assert run(["verify", "--kind", "gpm", "--gamma", 0.2, "--lattice", "rectangular",
+                "--offset", 0.25, *out]) == 2
     # wrong lattice orientation is a usage error
     assert run(["verify", "--kind", "gpm", "--gamma", 0.2,
                 "--lattice", "horizontal_lines", *out]) == 1
@@ -176,29 +181,42 @@ def test_csv_round_trip_bit_exact(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+# gamma_0 = e^{-(pi/a)(R - 1/(2a))}, exactly e^{-4 pi} at the defaults and
+# far above 1 where the strip R < 1/(2a) is root-free for every gamma < 1
+# (a, R, gamma_0, the relative tolerance on gamma_0)
+GAMMA_0 = [(0.5, 3.0, math.exp(-4 * math.pi), 0.0),
+           (0.1, 1.0, math.exp(40 * math.pi), 1e-12)]
+
+
 def test_threshold_report(tmp_path):
-    assert run(["threshold", "-a", 0.5, "-R", 3.0, "--out-dir", tmp_path]) == 0
-    rep = json.loads((tmp_path / "threshold.json").read_text())
-    assert rep["payload"]["gamma_0"] == math.exp(-4 * math.pi)
-    assert rep["config"]["a"] == 0.5
-    assert rep["command"] == "threshold"
+    for a, R, gamma_0, rel in GAMMA_0:
+        out = tmp_path / f"{a}-{R}"
+        assert run(["threshold", "-a", a, "-R", R, "--out-dir", out]) == 0
+        rep = json.loads((out / "threshold.json").read_text())
+        assert rep["payload"]["gamma_0"] == pytest.approx(gamma_0, rel=rel, abs=0.0)
+        assert rep["config"]["a"] == a
+        assert rep["command"] == "threshold"
 
 
 def test_figure2_payload(tmp_path):
-    assert run(["figure2", "--out-dir", tmp_path]) == 0
-    rep = json.loads((tmp_path / "figure2.json").read_text())
-    rp = np.array(rep["payload"]["roots_plus"])
-    rm = np.array(rep["payload"]["roots_minus"])
-    assert np.allclose(rp[:, 0], 3.5) and np.allclose(rm[:, 0], 3.5)
-    assert np.allclose(np.diff(rp[:, 1]), 1.0)
-    offsets = sorted(min(abs(b[:, 1])) for b in (rp, rm))
-    assert offsets == [0.25, 0.25]
-    assert rep["payload"]["gamma_0"] == math.exp(-4 * math.pi)
-    assert rep["payload"]["mass_99_radius"] == pytest.approx(
-        math.sqrt(math.log(100.0) / math.pi), rel=1e-12)
-    lines = (tmp_path / "figure2.csv").read_text().splitlines()
-    assert lines[0] == "kind,x,omega"
-    assert any(line.startswith("maximum,2.0,") for line in lines)
+    for a, R, gamma_0, rel in GAMMA_0:
+        out = tmp_path / f"{a}-{R}"
+        assert run(["figure2", "-a", a, "-R", R, "--out-dir", out]) == 0
+        rep = json.loads((out / "figure2.json").read_text())
+        rp = np.array(rep["payload"]["roots_plus"])
+        rm = np.array(rep["payload"]["roots_minus"])
+        # gamma = e^{-5 pi}: the roots sit at x = 1/(2a) + 5a, 2a apart in omega
+        x_root = 1.0 / (2.0 * a) + 5.0 * a
+        assert np.allclose(rp[:, 0], x_root) and np.allclose(rm[:, 0], x_root)
+        assert np.allclose(np.diff(rp[:, 1]), 2.0 * a)
+        offsets = sorted(min(abs(b[:, 1])) for b in (rp, rm))
+        assert offsets == [a / 2.0, a / 2.0]
+        assert rep["payload"]["gamma_0"] == pytest.approx(gamma_0, rel=rel, abs=0.0)
+        assert rep["payload"]["mass_99_radius"] == pytest.approx(
+            math.sqrt(math.log(100.0) / math.pi), rel=1e-12)
+        lines = (out / "figure2.csv").read_text().splitlines()
+        assert lines[0] == "kind,x,omega"
+        assert any(line.startswith(f"maximum,{1.0 / a!r},") for line in lines)
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -394,13 +412,13 @@ def test_probe_and_dnorm_commands(tmp_path):
                 "--out-dir", tmp_path]) == 0
     rep = json.loads((tmp_path / "probe.json").read_text())
     assert rep["payload"]["ratio"] >= 0.0
-    assert rep["payload"]["ignored_q"] is None
+    assert "ignored_q" not in rep["payload"]
 
     assert run(["dnorm", "--kind", "fpm", "-a", 0.5, "--gamma", 0.1, "-n", 61,
-                "-q", 7.0, "--out-dir", tmp_path]) == 0
+                "--out-dir", tmp_path]) == 0
     rep = json.loads((tmp_path / "dnorm.json").read_text())
     assert rep["payload"]["value"] > 0.0
-    assert rep["payload"]["ignored_q"] == 7.0
+    assert "ignored_q" not in rep["payload"]
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +445,11 @@ def exit_code(args):
     (["cheeger", "--weight", "dumbbell", "--separation", 6, "--bridge", 1e-15],
      None, "super-level set at the trim level 1e-14 (floor_rel 1e-14 of its"
      " maximum) splits"),
+    # options that changed no result are gone
+    (["spectrogram", "--preset", "fig1a"], None, "--preset"),
+    (["probe", "-q", 7], None, "-q"),
+    (["dnorm"], {"q": 7}, "'q'"),
+    (["variation", "-p", 1.5], None, "-p"),
 ])
 def test_rejected_input_exits_1(tmp_path, capsys, args, config, message):
     if config is not None:
@@ -463,14 +486,14 @@ def subparsers():
 @pytest.mark.parametrize("name", sorted(_COMMANDS))
 def test_flags_match_report_config(tmp_path, capsys, name):
     # one table per command: every flag is echoed in the report config and
-    # every config key has a flag, except the preset the figures fix
+    # every config key has a flag, except the preset each spectrogram row fixes
     assert exit_code([name, "--help"]) == 0
     assert name in capsys.readouterr().out
     assert run([name, "--out-dir", tmp_path]) == 0
     (report,) = tmp_path.glob("*.json")
     config = json.loads(report.read_text())["config"]
     dests = {a.dest for a in subparsers()[name]._actions} - {"help", "config"}
-    fixed = {"preset"} if name.startswith("figure1") else set()
+    fixed = {"preset"} if _COMMANDS[name][0] is cmd_spectrogram else set()
     assert dests == set(config) - fixed
 
 

@@ -362,8 +362,16 @@ def test_verify_rejects_mismatched_lattice():
 
 def test_verify_rectangular_lattice():
     pair = make_fpm(0.5, 0.1)
-    rep = verify_pair(pair, Lattice("rectangular", 0.5, line_extent=3.0))
-    assert rep.passed
+    # k_max bounds both index ranges, and offset shifts both axes off the
+    # agreement lines: (k_max, offset, rows, passed)
+    for k_max, offset, rows, passed in [(None, 0.0, 13, True), (2, 0.0, 5, True),
+                                        (None, 0.25, 11, False)]:
+        lattice = Lattice("rectangular", 0.5, line_extent=3.0, offset=offset,
+                          k_max=k_max)
+        rep = verify_pair(pair, lattice)
+        assert rep.passed == passed
+        assert rep.n_lines == rows and rep.n_samples == rows**2
+        assert passed or rep.max_rel_dev > 0.1
 
 
 def test_lattice_validation():

@@ -736,7 +736,7 @@ def test_variation_scaling_invariance():
     dom = gaussian_disk_domain(61, 3.0, floor_rel=1e-14)
     scaled = weighted_domain_from_values(dom.grid, 3.0 * dom.weight, dom.mask,
                                          floor_rel=1e-14)
-    rep = variation_bound_check(dom, scaled, 2.0)
+    rep = variation_bound_check(dom, scaled)
     assert rep.ratio == pytest.approx(1.0, abs=1e-8)
     assert rep.paper_ok and rep.spectral_ok
     assert rep.ratio_min == pytest.approx(3.0, rel=1e-12)
@@ -752,7 +752,7 @@ def test_variation_counterexample_weight_in_envelope():
                                     2.0, mask, 1e-14)
     dom_f = build_weighted_domain(
         gabor_magnitude_field(make_fpm(a, gamma).plus, grid), 2.0, mask, 1e-14)
-    rep = variation_bound_check(dom_phi, dom_f, 2.0)
+    rep = variation_bound_check(dom_phi, dom_f)
     assert rep.paper_ok and rep.spectral_ok
     assert 1 / 3 <= rep.ratio <= 3.0
     assert rep.ratio <= 2.0 * math.sqrt(rep.ratio_max / rep.ratio_min)
@@ -764,10 +764,8 @@ def test_variation_sinusoidal_weight():
     varied = weighted_domain_from_values(dom.grid,
                                          dom.weight * (1 + 0.1 * np.sin(X)),
                                          dom.mask, floor_rel=1e-14)
-    rep = variation_bound_check(dom, varied, 2.0)
+    rep = variation_bound_check(dom, varied)
     assert math.sqrt(0.9 / 1.1) - 1e-9 <= rep.ratio <= math.sqrt(1.1 / 0.9) + 1e-9
-    with pytest.raises(ValueError):
-        variation_bound_check(dom, varied, 1.5)
 
 
 # ---------------------------------------------------------------------------
