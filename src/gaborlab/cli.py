@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 usage/validation error, 2 lattice agreement
 failure, 3 non-equivalence failure, 4 solver failure (the command's report
 is still written, with the failure as its payload).  Every report embeds
-the fully resolved configuration; CSV/PGM outputs are byte-deterministic
+the resolved keys that its kinds read; CSV/PGM outputs are byte-deterministic
 for identical configurations.
 """
 
@@ -27,9 +27,9 @@ from .cheeger import (
 )
 from .counterexamples import (
     AGREEMENT,
-    LATTICE_KINDS,
     CounterexamplePair,
     Lattice,
+    gamma_0,
     gamma_threshold,
     make_fpm,
     make_gpm,
@@ -71,14 +71,41 @@ def _grid_from(cfg):
                   cfg["nx"], cfg["nw"])
 
 
-def _make_pair(kind, a, gamma, theta=0.0) -> CounterexamplePair:
-    if kind == "hpm":
-        return make_hpm(a, theta)
-    if kind == "fpm":
-        return make_fpm(a, gamma, theta)
-    if kind == "gpm":
-        return make_gpm(a, gamma, theta)
-    raise ValueError(f"unknown pair kind {kind!r}")
+# the kinds that signal, kind, weight, lattice, cuts and mode pick; a pair
+# kind's constructor takes the keys listed here, then theta
+_PAIRS = {"hpm": (make_hpm, ("a",)), "fpm": (make_fpm, ("a", "gamma")),
+          "gpm": (make_gpm, ("a", "gamma"))}
+
+
+def _make_pair(kind, cfg) -> CounterexamplePair:
+    make, keys = _PAIRS[kind]
+    return make(*(cfg[key] for key in keys), cfg.get("theta", 0.0))
+
+
+# the figures' pair, which a preset picks: hpm shifted by 1/(2a), at theta 0
+_SHIFTED_HPM = ("hpm", "preset")
+# picking key -> value -> the keys that kind reads.  A command reads the keys
+# of its resolved rows and each key of its defaults that no row of its
+# picking keys lists
+_KINDS = {
+    "signal": {"gaussian": (), "empty": (), _SHIFTED_HPM: ("sign", "a", "tau"),
+               **{kind: ("sign", *keys, "tau", "theta") for kind, (_, keys) in _PAIRS.items()}},
+    "kind": {kind: (*keys, "theta") for kind, (_, keys) in _PAIRS.items()},
+    "weight": {"gaussian": ("p", "R"),
+               **{kind: (*keys, "p", "R") for kind, (_, keys) in _PAIRS.items()},
+               "dumbbell": ("separation", "bridge", "sigma", "corridor_sigma")},
+    # lattice None is the pair kind's agreement lattice, always one of lines
+    "lattice": {None: ("samples",), "horizontal_lines": ("samples",),
+                "vertical_lines": ("samples",), "rectangular": ()},
+    "cuts": {"vertical": ("cut_lo", "cut_hi"), "circle": ()},
+    "mode": {"fpm-vs-gaussian": ("a", "gamma"), "scaled": ("scale",)},
+}
+
+
+def _kind(pick, cfg):
+    """The value that cfg picks by the key pick, as _KINDS[pick] names it."""
+    shifted = pick == "signal" and cfg["signal"] == "hpm" and cfg["preset"]
+    return _SHIFTED_HPM if shifted else cfg[pick]
 
 
 def _out(cfg, name):
@@ -107,27 +134,19 @@ _FIGURE1A_DEFAULTS = dict(
 _FIGURE1B_DEFAULTS = dict(_FIGURE1A_DEFAULTS, tau=0.1, preset="fig1b")
 
 
-def _shifted_hpm(a):
-    base = make_hpm(a)
-    s = 1.0 / (2.0 * a)
-    return CounterexamplePair(
-        base.plus.translated(s), base.minus.translated(s), "hpm", a, None
-    )
-
-
 def _spectrogram_field(cfg):
     grid = _grid_from(cfg)
     sig = cfg["signal"]
-    if sig == "empty":
-        return gabor_magnitude_field(GaussianSum(), grid)
-    if sig == "gaussian":
-        return gabor_magnitude_field(gaussian(), grid)
-    if cfg["tau"] > 0.0 and cfg["theta"] != 0.0:
+    if sig in ("empty", "gaussian"):
+        return gabor_magnitude_field(gaussian() if sig == "gaussian" else GaussianSum(), grid)
+    if cfg["tau"] > 0.0 and cfg.get("theta", 0.0) != 0.0:
         raise ValueError("tilted spectrograms do not compose with rotation")
-    if sig == "hpm" and cfg["preset"]:
-        pair = _shifted_hpm(cfg["a"])
+    if _kind("signal", cfg) == _SHIFTED_HPM:
+        base, s = make_hpm(cfg["a"]), 1.0 / (2.0 * cfg["a"])
+        pair = CounterexamplePair(base.plus.translated(s), base.minus.translated(s),
+                                  "hpm", cfg["a"])
     else:
-        pair = _make_pair(sig, cfg["a"], cfg["gamma"], cfg["theta"])
+        pair = _make_pair(sig, cfg)
     if cfg["tau"] > 0.0:
         plus_field, minus_field = tilt_magnitude(pair, cfg["tau"], grid)
         return plus_field if cfg["sign"] == "plus" else minus_field
@@ -163,10 +182,11 @@ _VERIFY_DEFAULTS = dict(
 
 
 def cmd_verify(cfg):
-    pair = _make_pair(cfg["kind"], cfg["a"], cfg["gamma"], cfg["theta"])
+    pair = _make_pair(cfg["kind"], cfg)
     lattice = Lattice(
-        kind=cfg["lattice"] or AGREEMENT[cfg["kind"]], a=cfg["a"],
-        theta=cfg["theta"], line_sample_count=cfg["samples"],
+        kind=cfg["lattice"] or AGREEMENT[cfg["kind"]], a=cfg["a"], theta=cfg["theta"],
+        # a rectangular lattice reads no sample count
+        line_sample_count=cfg.get("samples", _VERIFY_DEFAULTS["samples"]),
         line_extent=cfg["extent"], offset=cfg["offset"], k_max=cfg["k_max"],
     )
     report = verify_pair(pair, lattice, tol=cfg["tol"],
@@ -194,7 +214,7 @@ _ROOTS_DEFAULTS = dict(
 
 
 def cmd_roots(cfg):
-    pair = _make_pair(cfg["kind"], cfg["a"], cfg["gamma"], cfg["theta"])
+    pair = _make_pair(cfg["kind"], cfg)
     rp, rm = root_set_pair(pair, cfg["k_min"], cfg["k_max"])
     _write_points(cfg, "roots.csv", "set", (("plus", rp), ("minus", rm)))
     return 0, {"roots_plus": rp, "roots_minus": rm}, None
@@ -209,25 +229,13 @@ def _write_points(cfg, name, label, sets):
     io.atomic_write_text(_out(cfg, name), "\n".join(lines) + "\n")
 
 
-def _gamma_0(a, R):
-    """The root-free-strip threshold e^{-(pi/a)(R - 1/(2a))}, unclamped."""
-    if not (a > 0 and R > 0):
-        raise ValueError("a and R must be positive")
-    try:
-        return math.exp(-(math.pi / a) * (R - 1.0 / (2.0 * a)))
-    except OverflowError:
-        raise ValueError(
-            f"gamma_0 = e^(-(pi/a)(R - 1/(2a))) overflows a double at a = {a!r}, R = {R!r}"
-        ) from None
-
-
 _THRESHOLD_DEFAULTS = dict(a=0.5, R=3.0, delta=1.0, out_dir=".")
 
 
 def cmd_threshold(cfg):
     a, R = cfg["a"], cfg["R"]
     thr = gamma_threshold(a, R, cfg["delta"])
-    gamma0 = _gamma_0(a, R)
+    gamma0 = gamma_0(a, R)
     print(f"gamma_0 = {gamma0!r}, threshold = {thr!r}")
     return 0, {"gamma_0": gamma0, "threshold": thr, "delta": cfg["delta"]}, None
 
@@ -241,7 +249,7 @@ _FIGURE2_DEFAULTS = dict(
 def cmd_figure2(cfg):
     a = cfg["a"]
     rp, rm = root_set_pair(make_fpm(a, cfg["gamma"]), cfg["k_min"], cfg["k_max"])
-    gamma0 = _gamma_0(a, cfg["R"])
+    gamma0 = gamma_0(a, cfg["R"])
     maxima = [[0.0, 0.0], [1.0 / a, 0.0]]
     _write_points(cfg, "figure2.csv", "kind",
                   (("root_plus", rp), ("root_minus", rm), ("maximum", maxima)))
@@ -276,10 +284,7 @@ def _build_domain(cfg):
                                grid, cfg["corridor_sigma"], cfg["floor_rel"])
     R, n = cfg["R"], cfg["n"]
     grid = TFGrid(-R, R, -R, R, n, n)
-    if cfg["weight"] == "gaussian":
-        sig = gaussian()
-    else:
-        sig = _make_pair(cfg["weight"], cfg["a"], cfg["gamma"]).plus
+    sig = gaussian() if cfg["weight"] == "gaussian" else _make_pair(cfg["weight"], cfg).plus
     mag = gabor_magnitude_field(sig, grid)
     return build_weighted_domain(mag, cfg["p"], disk_mask(grid, R), cfg["floor_rel"])
 
@@ -330,9 +335,10 @@ def cmd_poincare(cfg):
     return 0, payload, _provenance(domain, dec)
 
 
-# the lemma compares |G f|^2 weights, so p is fixed at 2 and takes no flag
+# the lemma compares the |G f|^2 weights of a Gaussian and an fpm signal, so
+# p is fixed at 2 and no weight kind or dumbbell key takes a flag
 _VARIATION_DEFAULTS = dict(
-    {key: val for key, val in _DOMAIN_DEFAULTS.items() if key != "p"},
+    {key: _DOMAIN_DEFAULTS[key] for key in ("a", "gamma", "R", "n", "floor_rel")},
     mode="fpm-vs-gaussian", scale=3.0, out_dir=".",
 )
 
@@ -382,12 +388,8 @@ def cmd_refine(cfg):
         h = rng.standard_normal(domain.n_nodes)
         rep = refinement_check(dec, h, cfg["k"])
         slacks.append(rep.slack / max(rep.lhs, 1e-300))
-    payload = {
-        "k": cfg["k"],
-        "n_fields": cfg["n_fields"],
-        "min_relative_slack": float(min(slacks)),
-        "eigenvalues": dec.eigenvalues,
-    }
+    payload = {"k": cfg["k"], "n_fields": cfg["n_fields"],
+               "min_relative_slack": float(min(slacks)), "eigenvalues": dec.eigenvalues}
     return (0 if min(slacks) >= -1e-9 else 4), payload, _provenance(domain, dec)
 
 
@@ -398,11 +400,13 @@ _CHEEGER_DEFAULTS = dict(
 
 
 def cmd_cheeger(cfg):
+    if cfg["cut_count"] < 1:
+        raise ValueError("cut_count must be at least 1")
     domain = _build_domain(cfg)
     grid = domain.grid
-    lo = cfg["cut_lo"] if cfg["cut_lo"] is not None else grid.x_min + grid.dx
-    hi = cfg["cut_hi"] if cfg["cut_hi"] is not None else grid.x_max - grid.dx
     if cfg["cuts"] == "vertical":
+        lo = cfg["cut_lo"] if cfg["cut_lo"] is not None else grid.x_min + grid.dx
+        hi = cfg["cut_hi"] if cfg["cut_hi"] is not None else grid.x_max - grid.dx
         family = vertical_cut_family(lo, hi, cfg["cut_count"])
     else:
         rmax = min(grid.x_max, grid.w_max)
@@ -411,16 +415,8 @@ def cmd_cheeger(cfg):
     dec = solve_spectrum(domain, 2)
     report = cheeger_upper_bound(domain, family, chain_slack=cfg["chain_slack"],
                                  decomposition=dec)
-    payload = {
-        "best_cut": {"kind": report.best_cut.kind,
-                     "parameter": report.best_cut.parameter},
-        "h_upper": report.h_upper,
-        "lambda_1": report.lambda1,
-        "inverse_h": report.inverse_h,
-        "poincare": report.poincare,
-        "chain_ok": report.chain_ok,
-        "chain_slack": report.chain_slack,
-    }
+    payload = {("lambda_1" if key == "lambda1" else key): val
+               for key, val in dataclasses.asdict(report).items()}
     return 0, payload, _provenance(domain, dec)
 
 
@@ -435,7 +431,7 @@ _PROBE_DEFAULTS = dict(
 
 
 def cmd_probe(cfg):
-    pair = _make_pair(cfg["kind"], cfg["a"], cfg["gamma"])
+    pair = _make_pair(cfg["kind"], cfg)
     grid = TFGrid(-cfg["R"], cfg["R"], -cfg["R"], cfg["R"], cfg["n"], cfg["n"])
     mask = disk_mask(grid, cfg["R"])
     report = stability_probe(pair.plus, pair.minus, mask, grid, cfg["p"], cfg["s"])
@@ -449,7 +445,7 @@ _DNORM_DEFAULTS = dict(
 
 
 def cmd_dnorm(cfg):
-    pair = _make_pair(cfg["kind"], cfg["a"], cfg["gamma"])
+    pair = _make_pair(cfg["kind"], cfg)
     grid = TFGrid(-cfg["R"], cfg["R"], -cfg["R"], cfg["R"], cfg["n"], cfg["n"])
     fp = gabor_field(pair.plus, grid)
     fm = gabor_field(pair.minus, grid)
@@ -495,15 +491,8 @@ _NONE_DEFAULT_TYPES = dict(
     cut_lo=float, cut_hi=float,
 )
 
-_CHOICES = dict(
-    signal=("gaussian", "hpm", "fpm", "gpm", "empty"),
-    sign=("plus", "minus"),
-    kind=tuple(AGREEMENT),
-    weight=("gaussian", "fpm", "hpm", "gpm", "dumbbell"),
-    lattice=LATTICE_KINDS,
-    mode=("fpm-vs-gaussian", "scaled"),
-    cuts=("vertical", "circle"),
-)
+_CHOICES = dict(sign=("plus", "minus"), **{
+    pick: tuple(val for val in rows if isinstance(val, str)) for pick, rows in _KINDS.items()})
 
 
 def _type(key, default):
@@ -549,7 +538,8 @@ def _check(key, val, table):
 
 
 def _resolve(table, path, given):
-    """defaults <- config file <- flags given on the command line."""
+    """defaults <- config file <- flags given on the command line, cut to the
+    keys that the resolved kinds read; setting any other key is an error."""
     loaded = {}
     if path:
         with open(path) as fh:
@@ -558,7 +548,20 @@ def _resolve(table, path, given):
             raise ValueError("a config file must hold one JSON object")
         for key, val in loaded.items():
             _check(key, val, table)
-    return {**table, **loaded, **given}
+    cfg = {**table, **loaded, **given}
+    for pick in [pick for pick in _KINDS if pick in table]:
+        rows, kind = _KINDS[pick], _kind(pick, cfg)
+        listed = [key for key in table if any(key in row for row in rows.values())]
+        unread = [key for key in listed if key not in rows[kind]]
+        rejected = [key for key in unread if key in loaded or key in given]
+        if rejected:
+            preset = f" with the preset {cfg['preset']!r}" if kind == _SHIFTED_HPM else ""
+            reads = ", ".join(key for key in listed if key in rows[kind]) or "none"
+            raise ValueError(f"{pick} {cfg[pick]!r}{preset} does not read "
+                             f"{', '.join(map(repr, rejected))}; "
+                             f"of {', '.join(listed)} it reads {reads}")
+        cfg = {key: val for key, val in cfg.items() if key not in unread}
+    return cfg
 
 
 def main(argv=None):

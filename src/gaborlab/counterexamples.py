@@ -244,17 +244,28 @@ def root_set_pair(pair: CounterexamplePair, k_min, k_max):
     return rp, rm
 
 
-def gamma_threshold(a, R, delta=1.0):
-    """delta * min(e^{-(pi/a)(R - 1/(2a))}, 1); with delta = 1 and the min
-    inactive this is the root-free-strip threshold gamma_0(a, R).
-
-    The exponent is clamped at 0 before exp, so the min applies even where
-    e^{...} itself would overflow a double."""
+def _gamma_0_exponent(a, R):
     if not (a > 0 and R > 0):
         raise ValueError("a and R must be positive")
+    return -(math.pi / a) * (R - 1.0 / (2.0 * a))
+
+
+def gamma_0(a, R):
+    """The root-free-strip threshold e^{-(pi/a)(R - 1/(2a))}, unclamped."""
+    try:
+        return math.exp(_gamma_0_exponent(a, R))
+    except OverflowError:
+        raise ValueError(f"gamma_0 = e^(-(pi/a)(R - 1/(2a))) overflows a double "
+                         f"at a = {a!r}, R = {R!r}") from None
+
+
+def gamma_threshold(a, R, delta=1.0):
+    """delta * min(gamma_0(a, R), 1), with the exponent clamped at 0 before
+    exp, so that the min applies even where gamma_0 would overflow a double."""
+    exponent = _gamma_0_exponent(a, R)
     if not (0.0 < delta <= 1.0):
         raise ValueError("delta must lie in (0, 1]")
-    return delta * math.exp(min(-(math.pi / a) * (R - 1.0 / (2.0 * a)), 0.0))
+    return delta * math.exp(min(exponent, 0.0))
 
 
 # ---------------------------------------------------------------------------

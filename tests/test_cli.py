@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -12,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaborlab.cli import _COMMANDS, build_parser, cmd_spectrogram, main
+from gaborlab.cli import _CHOICES, _COMMANDS, _KINDS, _resolve, build_parser, main
+from gaborlab.counterexamples import AGREEMENT
 from gaborlab.io import read_field_csv
 from gaborlab.spectral import RESIDUAL_CONTRACT, SolverConvergenceError
 
@@ -392,7 +394,8 @@ def test_every_spectral_command_reports_a_solver_failure(tmp_path, capsys, monke
     assert report.name == f"{name}.json"
     rep = strict_json(report.read_text())
     assert rep["command"] == name
-    assert rep["config"] == dict(_COMMANDS[name][1], out_dir=str(tmp_path))
+    # the keys the default kinds read, as in the report of a run that succeeds
+    assert rep["config"] == _resolve(_COMMANDS[name][1], None, {"out_dir": str(tmp_path)})
     assert rep["payload"] == {"status": "solver_failure",
                               "message": "residuals exceed the contract",
                               "residuals": residuals}
@@ -434,6 +437,38 @@ def exit_code(args):
         return exc.code
 
 
+def flags(opts):
+    return [token for key, val in opts.items()
+            for token in (f"-{key}" if len(key) == 1 else "--" + key.replace("_", "-"), val)]
+
+
+# (command, keys set, the error): each key is one that the kind does not read
+UNREAD = [
+    ("figure1a", {"theta": 0.5}, "signal 'hpm' with the preset 'fig1a' does not read"
+     " 'theta'; of sign, a, gamma, tau, theta it reads sign, a, tau"),
+    ("spectrogram", {"a": 0.9, "sign": "minus", "theta": 0.3, "gamma": 0.2},
+     "signal 'gaussian' does not read 'sign', 'a', 'gamma', 'theta'; of sign, a,"
+     " gamma, tau, theta it reads none"),
+    ("verify", {"lattice": "rectangular", "samples": 11},
+     "lattice 'rectangular' does not read 'samples'"),
+    ("roots", {"kind": "hpm", "gamma": 0.2},
+     "kind 'hpm' does not read 'gamma'; of a, gamma, theta it reads a, theta"),
+    ("probe", {"kind": "hpm", "gamma": 0.3},
+     "kind 'hpm' does not read 'gamma'; of a, gamma it reads a"),
+    ("dnorm", {"kind": "hpm", "gamma": 0.3}, "kind 'hpm' does not read 'gamma'"),
+    ("cheeger", {"cuts": "circle", "cut_lo": 1.0, "cut_hi": 2.0},
+     "cuts 'circle' does not read 'cut_lo', 'cut_hi'"),
+    ("variation", {"mode": "scaled", "a": 0.9, "gamma": 0.3},
+     "mode 'scaled' does not read 'a', 'gamma'; of a, gamma, scale it reads scale"),
+    ("variation", {"scale": 7.0}, "mode 'fpm-vs-gaussian' does not read 'scale'"),
+    ("refine", {"n": 41, "n_fields": 3, "p": 1.3, "a": 0.9, "R": 2.0},
+     "weight 'dumbbell' does not read 'a', 'p', 'R'"),
+    ("poincare", {"separation": 9.0, "bridge": 0.5},
+     "weight 'gaussian' does not read 'separation', 'bridge'; of a, gamma, p, R,"
+     " separation, bridge, sigma, corridor_sigma it reads p, R"),
+]
+
+
 @pytest.mark.parametrize("args, config, message", [
     (["spectrogram"], {"sign": "bogus"}, "'sign'"),
     (["spectrum"], {"n": "41"}, "'n'"),
@@ -450,6 +485,14 @@ def exit_code(args):
     (["probe", "-q", 7], None, "-q"),
     (["dnorm"], {"q": 7}, "'q'"),
     (["variation", "-p", 1.5], None, "-p"),
+    # variation compares the Gaussian and the fpm weight: no weight kind
+    (["variation", "--weight", "hpm", "--separation", 9, "--bridge", 0.5], None, "--weight"),
+    (["variation"], {"bridge": 0.5}, "'bridge'"),
+    (["cheeger", "--cuts", "circle", "--cut-count", 0], None, "cut_count must be at least 1"),
+    (["cheeger"], {"cut_count": 0}, "cut_count must be at least 1"),
+    # keys that the resolved kind does not read, as flags and from a config file
+    *[([name, *flags(opts)], None, message) for name, opts, message in UNREAD],
+    *[([name], opts, message) for name, opts, message in UNREAD],
 ])
 def test_rejected_input_exits_1(tmp_path, capsys, args, config, message):
     if config is not None:
@@ -483,18 +526,111 @@ def subparsers():
     return action.choices
 
 
+# the flags that the default kind of each command does not read
+_DOMAIN_UNREAD = {"a", "gamma", "separation", "bridge", "sigma", "corridor_sigma"}
+UNREAD_AT_DEFAULTS = {
+    "spectrogram": {"sign", "a", "gamma", "tau", "theta"},
+    "figure1a": {"gamma", "theta"},  # the shifted hpm pair
+    "figure1b": {"gamma", "theta"},
+    "spectrum": _DOMAIN_UNREAD,
+    "poincare": _DOMAIN_UNREAD,
+    "cheeger": _DOMAIN_UNREAD,
+    "refine": {"a", "gamma", "p", "R"},  # the dumbbell
+    "variation": {"scale"},
+}
+
+
 @pytest.mark.parametrize("name", sorted(_COMMANDS))
 def test_flags_match_report_config(tmp_path, capsys, name):
-    # one table per command: every flag is echoed in the report config and
-    # every config key has a flag, except the preset each spectrogram row fixes
+    # one table per command: the report config holds the flags that the
+    # resolved kinds read, and the preset that each spectrogram row fixes
     assert exit_code([name, "--help"]) == 0
     assert name in capsys.readouterr().out
     assert run([name, "--out-dir", tmp_path]) == 0
     (report,) = tmp_path.glob("*.json")
     config = json.loads(report.read_text())["config"]
     dests = {a.dest for a in subparsers()[name]._actions} - {"help", "config"}
-    fixed = {"preset"} if _COMMANDS[name][0] is cmd_spectrogram else set()
-    assert dests == set(config) - fixed
+    fixed = {"preset"} if "preset" in _COMMANDS[name][1] else set()
+    assert dests - UNREAD_AT_DEFAULTS.get(name, set()) == set(config) - fixed
+    assert set(config) == set(_resolve(_COMMANDS[name][1], None, {}))
+
+
+def rows(name):
+    """Each setting of the command's picking keys that names a row of the
+    kinds table; a verify lattice is the kind's agreement lattice or rectangular."""
+    picks = [pick for pick in _KINDS if pick in _COMMANDS[name][1]]
+    for values in itertools.product(*(_CHOICES[pick] for pick in picks)):
+        row = dict(zip(picks, values))
+        if row.get("lattice") in (None, "rectangular", AGREEMENT.get(row.get("kind"))):
+            yield row
+
+
+# another valid value for each key a row reads, unlike any default of the key
+OTHER = dict(
+    sign="minus", a=0.4, gamma=0.3, tau=0.05, theta=0.3, xmin=-3.0, xmax=3.0,
+    wmin=-3.0, wmax=3.0, nx=23, nw=23, samples=31, extent=3.0, offset=0.25,
+    k_min=-2, k_max=2, tol=1e-30, noneq_floor=1e6, R=3.5, delta=0.5, p=1.5,
+    n=23, floor_rel=1e-6, m=3, separation=4.0, bridge=0.2, sigma=0.3,
+    corridor_sigma=0.2, k=2, n_fields=4, seed=8, cut_lo=-1.0, cut_hi=1.0,
+    cut_count=10, chain_slack=5.0, scale=7.0, s=3.0, dnorm_consistent_powers=True,
+)
+OTHER_IN = {("dnorm", "k"): 0}  # D-norms take k = 0 or 1
+
+# every run is cut to these sizes where its row reads them
+SMALL = dict(nx=21, nw=21, n=21, samples=41, n_fields=3)
+
+ACTS = [
+    (name, row, key)
+    for name in sorted(_COMMANDS)
+    for row in rows(name)
+    for key in _resolve(_COMMANDS[name][1], None, row)
+    if key not in row and key not in ("out_dir", "preset")
+]
+
+
+def outputs(tmp_path, name, opts):
+    """The exit code, and each file written: the payload and provenance of
+    the report, and the bytes of every other file."""
+    tmp_path.mkdir()
+    path, out = tmp_path / "cfg.json", tmp_path / "out"
+    path.write_text(json.dumps(opts))
+    code = exit_code([name, "--config", path, "--out-dir", out])
+    files = {}
+    for p in sorted(out.iterdir()) if out.exists() else ():
+        rep = json.loads(p.read_text()) if p.suffix == ".json" else None
+        files[p.name] = (rep["payload"], rep["provenance"]) if rep else p.read_bytes()
+    return code, files
+
+
+@pytest.fixture(scope="module")
+def base_outputs():
+    """The outputs of each base run, shared by the keys of its row."""
+    return {}
+
+
+@pytest.mark.parametrize("name, row, key", ACTS,
+                         ids=[f"{n}-{'-'.join(map(str, r.values()))}-{k}" for n, r, k in ACTS])
+def test_every_accepted_key_acts(tmp_path, base_outputs, name, row, key):
+    table = _COMMANDS[name][1]
+    reads = _resolve(table, None, row)
+    base = dict(row, **{k: v for k, v in SMALL.items() if k in reads})
+    # where the value of another key leaves this one without effect, the base
+    # run sets one under which it acts: a tilted spectrogram takes no
+    # rotation, and on the 21-node fpm and gpm disks the best circle is the
+    # family's last, 0.98 R, which every count includes, until the trim cuts
+    # the rim
+    if key == "theta" and reads.get("tau", 0.0) > 0.0:
+        base["tau"] = 0.0
+    if key == "cut_count" and row["cuts"] == "circle":
+        base["floor_rel"] = 1e-6
+    other = OTHER_IN.get((name, key), OTHER[key])
+    assert other != reads[key] and other != base.get(key)
+    ident = (name, json.dumps(base, sort_keys=True))
+    if ident not in base_outputs:
+        base_outputs[ident] = outputs(tmp_path / "base", name, base)
+    code, files = outputs(tmp_path / "changed", name, dict(base, **{key: other}))
+    assert base_outputs[ident][0] != 1 and code != 1
+    assert (code, files) != base_outputs[ident]
 
 
 # what each command writes at its defaults: the command its report's envelope
