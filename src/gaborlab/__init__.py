@@ -42,7 +42,9 @@ from .gabor import (
     bargmann_eval,
     bargmann_modulus,
     gabor_eval,
+    gabor_evals,
     gabor_field,
+    gabor_fields,
     gabor_magnitude_field,
     gabor_quadrature_oracle,
 )

@@ -39,7 +39,7 @@ from .counterexamples import (
     tilt_magnitude,
     verify_pair,
 )
-from .gabor import gabor_field, gabor_magnitude_field
+from .gabor import gabor_fields, gabor_magnitude_field
 from .grid import ComplexField, MagnitudeField, TFGrid, disk_mask
 from .norms import measurement_norm_D, stability_probe
 from .signals import GaussianSum, gaussian
@@ -447,8 +447,7 @@ _DNORM_DEFAULTS = dict(
 def cmd_dnorm(cfg):
     pair = _make_pair(cfg["kind"], cfg)
     grid = TFGrid(-cfg["R"], cfg["R"], -cfg["R"], cfg["R"], cfg["n"], cfg["n"])
-    fp = gabor_field(pair.plus, grid)
-    fm = gabor_field(pair.minus, grid)
+    fp, fm = gabor_fields((pair.plus, pair.minus), grid)
     diff = ComplexField(grid, (np.abs(fp.values) - np.abs(fm.values)).astype(complex))
     value = measurement_norm_D(
         diff, cfg["p"], cfg["s"], cfg["k"],

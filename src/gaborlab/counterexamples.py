@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gabor import _LOG_HUGE, gabor_eval
+from .gabor import _LOG_HUGE, gabor_evals
 from .grid import MagnitudeField, TFGrid
 from .signals import GaussianSum, phase_equivalent, signal_phase_distance
 
@@ -275,16 +275,17 @@ def gamma_threshold(a, R, delta=1.0):
 
 def pair_magnitude(pair: CounterexamplePair, sign, x, w):
     """|G f_sign^theta|(x, w): base magnitude at R_{-theta}(x, w)."""
-    base = pair.plus if sign > 0 else pair.minus
+    return _magnitudes(pair, (pair.plus if sign > 0 else pair.minus,), x, w)[0]
+
+
+def _magnitudes(pair: CounterexamplePair, signals, x, w):
+    """|G f|(R_{-theta}(x, w)) for each f in signals, evaluated together."""
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
     if pair.theta != 0.0:
         rot = _rotation(-pair.theta)
-        xb = rot[0, 0] * x + rot[0, 1] * w
-        wb = rot[1, 0] * x + rot[1, 1] * w
-    else:
-        xb, wb = x, w
-    return np.abs(gabor_eval(base, xb, wb))
+        x, w = rot[0, 0] * x + rot[0, 1] * w, rot[1, 0] * x + rot[1, 1] * w
+    return [np.abs(v) for v in gabor_evals(signals, x, w)]
 
 
 def tilt_magnitude(base: CounterexamplePair, tau, grid: TFGrid):
@@ -299,8 +300,7 @@ def tilt_magnitude(base: CounterexamplePair, tau, grid: TFGrid):
         raise ValueError("tau must be >= 0")
     X, W = grid.mesh()
     out = []
-    for sign in (+1, -1):
-        mag = pair_magnitude(base, sign, X, W)
+    for mag in _magnitudes(base, (base.plus, base.minus), X, W):
         if tau == 0.0:
             out.append(MagnitudeField(grid, mag))
             continue
@@ -353,8 +353,7 @@ def verify_pair(pair: CounterexamplePair, lattice: Lattice, tol=1e-9,
         raise LatticeMismatchError("lattice spacing differs from the pair's")
 
     pts = lattice.sample_points()
-    mp = pair_magnitude(pair, +1, pts[:, 0], pts[:, 1])
-    mm = pair_magnitude(pair, -1, pts[:, 0], pts[:, 1])
+    mp, mm = _magnitudes(pair, (pair.plus, pair.minus), pts[:, 0], pts[:, 1])
     abs_dev = np.abs(mp - mm)
     # normalize by the larger magnitude; absolute floor avoids 0/0 deep in
     # the Gaussian tails where both values underflow

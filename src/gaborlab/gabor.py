@@ -29,38 +29,53 @@ _LOG_TINY = math.log(np.finfo(float).tiny)
 
 
 def gabor_eval(f: GaussianSum, x, w):
-    """Closed-form G f at (x, w); x and w may be arrays (broadcast)."""
+    """Closed-form G f at (x, w), x and w broadcast: gabor_evals of f alone."""
+    return gabor_evals((f,), x, w)[0]
+
+
+def gabor_evals(signals, x, w):
+    """(G f at (x, w) for f in signals), one exponential per distinct atom
+    position (shift, modulation), shared by every signal with an atom there:
+    a counterexample pair costs the exponentials of one signal.  Each signal
+    scales them by its own coefficients and adds its atoms in its own order,
+    so each output has the bits of that signal evaluated alone."""
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
     shape = np.broadcast(x, w).shape
-    out = np.zeros(shape, dtype=complex)
-    # one exponent buffer per call, filled through its real and imaginary
-    # views with the floating-point operations of the complex expression
-    #     -2j pi u ws - 1j pi xs ws - pi (xs^2 + ws^2) / 2
-    z = np.empty(shape, dtype=complex)
-    re, im, tmp = z.real, z.imag, np.empty(shape)
-    for a in f.atoms:
-        xs = x - a.shift
-        ws = w - a.modulation
+    tmp, term = np.empty(shape), np.empty(shape, dtype=complex)
+    exps = {}  # (u, b): (e^z, (mask, z) where e^z is subnormal, or None)
+    for u, b in dict.fromkeys((a.shift, a.modulation) for f in signals for a in f.atoms):
+        # the exponent is filled through its real and imaginary views with
+        # the floating-point operations of the complex expression
+        #     -2j pi u ws - 1j pi xs ws - pi (xs^2 + ws^2) / 2
+        z = np.empty(shape, dtype=complex)
+        re, im = z.real, z.imag
+        xs, ws = x - u, w - b
         np.add(xs * xs, ws * ws, out=re)
         re *= np.pi
         re /= -2.0
-        np.multiply(-2.0 * np.pi * a.shift, ws, out=im)
+        np.multiply(-2.0 * np.pi * u, ws, out=im)
         np.multiply(np.pi * xs, ws, out=tmp)
         im -= tmp
-        # where e^z falls below the normal range it has lost bits that c
-        # (up to e^{709} for hpm pairs) would scale back up, so those
-        # entries take c into the exponent: e^{z + log c}
         low = re < _LOG_TINY
-        deep = z[low] + cmath.log(a.coeff) if a.coeff and low.any() else None
-        np.exp(z, out=z)
-        # the exponential stays the first factor: where complex multiply
-        # uses FMA, z * c and c * z can differ in the last bit
-        np.multiply(z, a.coeff, out=z)
-        if deep is not None:
-            z[low] = np.exp(deep)
-        out += z
-    return out if out.shape else complex(out)
+        deep = (low, z[low]) if low.any() else None
+        exps[u, b] = np.exp(z, out=z), deep
+    outs = []
+    for f in signals:
+        out = np.zeros(shape, dtype=complex)
+        for a in f.atoms:
+            e, deep = exps[a.shift, a.modulation]
+            # the exponential stays the first factor: where complex multiply
+            # uses FMA, e * c and c * e can differ in the last bit
+            np.multiply(e, a.coeff, out=term)
+            # where e^z falls below the normal range it has lost bits that c
+            # (up to e^{709} for hpm pairs) would scale back up, so those
+            # entries take c into the exponent: e^{z + log c}
+            if deep is not None:
+                term[deep[0]] = np.exp(deep[1] + cmath.log(a.coeff))
+            out += term
+        outs.append(out if out.shape else complex(out))
+    return tuple(outs)
 
 
 def gabor_quadrature_oracle(f: GaussianSum, x, w, step=1e-2):
@@ -97,19 +112,28 @@ def gabor_quadrature_oracle(f: GaussianSum, x, w, step=1e-2):
 
 
 def gabor_field(f: GaussianSum, grid: TFGrid) -> ComplexField:
-    """G f sampled on every grid node, row-major with omega fastest.
+    """G f sampled on every grid node, row-major with omega fastest: the
+    one-signal case of gabor_fields."""
+    memo = f._field  # a memo hit skips the tuples of the general case
+    if memo is not None and memo.grid == grid:
+        return memo
+    return gabor_fields((f,), grid)[0]
 
-    The signal keeps the field of the last grid it was evaluated on, so a
+
+def gabor_fields(signals, grid: TFGrid) -> tuple[ComplexField, ...]:
+    """(G f on the grid's nodes for f in signals), evaluated together.
+
+    Each signal keeps the field of the last grid it was evaluated on, so a
     repeat call on an equal grid returns that same field.  Its values are
     read-only: signals and grids are immutable, and so is their field.
     """
-    memo = f._field
-    if memo is not None and memo.grid == grid:
-        return memo
-    field = ComplexField(grid, gabor_eval(f, grid.x_nodes()[:, None], grid.w_nodes()[None, :]))
-    field.values.flags.writeable = False
-    f._field = field
-    return field
+    todo = [f for f in signals if f._field is None or f._field.grid != grid]
+    if todo:
+        values = gabor_evals(todo, grid.x_nodes()[:, None], grid.w_nodes()[None, :])
+        for f, vals in zip(todo, values):
+            vals.flags.writeable = False
+            f._field = ComplexField(grid, vals)
+    return tuple(f._field for f in signals)
 
 
 def gabor_magnitude_field(f: GaussianSum, grid: TFGrid) -> MagnitudeField:

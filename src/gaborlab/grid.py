@@ -116,6 +116,7 @@ def require_same_grid(a, b):
 
 
 def disk_mask(grid, radius, center=(0.0, 0.0)):
-    X, W = grid.mesh()
-    return (X - center[0]) ** 2 + (W - center[1]) ** 2 <= radius**2
+    # squared node offsets broadcast over the axes: no mesh arrays
+    dw2 = (grid.w_nodes() - center[1]) ** 2
+    return ((grid.x_nodes() - center[0]) ** 2)[:, None] + dw2 <= radius**2
 

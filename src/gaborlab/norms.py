@@ -9,16 +9,18 @@ epsilon-concentration of a spectrogram outside Omega).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gabor import gabor_field
+from .gabor import gabor_fields
 from .grid import field_values, require_same_grid
 from .signals import GaussianSum, signal_phase_distance
 
 _SCAN = 12  # phase samples of the alignment scan
+_ULPS4 = 4.0 * np.finfo(float).eps  # the alignment objective's resolution
 
 
 def lp_field_norm(field, p, weight=None, mask=None):
@@ -50,18 +52,21 @@ def lp_field_norm(field, p, weight=None, mask=None):
     return total ** (1.0 / p)
 
 
-def _brent_min(fn, lo, hi, x, fx, tol):
+def _brent_min(fn, lo, hi, x, fx, flo, fhi, tol):
     """Brent's bounded minimizer of fn on [lo, hi] from the point x in it
-    with value fx; returns (x, fn(x)) for the best point found.
+    with value fx, where the bracket's ends have the known values flo and
+    fhi; returns (x, fn(x)) for the best point found.
 
     Parabolic steps through the three best points so far, golden-section
-    steps when a parabola is not trusted (Brent 1973, ch. 5); stops when x
-    lies within about tol of the shrinking bracket's midpoint."""
+    steps when a parabola is not trusted (Brent 1973, ch. 5).  The bracket's
+    ends seed the two points besides x, and the first step may already be
+    parabolic.  Stops when x lies within about tol of the shrinking
+    bracket's midpoint, or once a new point's value is within 4 ulps of the
+    best: the objective resolves nothing finer."""
     c = (3.0 - math.sqrt(5.0)) / 2.0
     a, b = lo, hi
-    v = w = x
-    fv = fw = fx
-    d = e = 0.0
+    (fw, w), (fv, v) = sorted([(flo, lo), (fhi, hi)])
+    d = e = hi - lo
     # |x| < 7, so Brent's relative term eps * |x| is far below tol / 3
     tol1 = tol / 3.0
     tol2 = 2.0 * tol1
@@ -88,6 +93,8 @@ def _brent_min(fn, lo, hi, x, fx, tol):
             d = c * e
         u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
         fu = fn(u)
+        if abs(fu - fx) <= _ULPS4 * abs(fx):
+            return (u, fu) if fu < fx else (x, fx)
         if fu <= fx:
             if u < x:
                 b = x
@@ -115,8 +122,10 @@ def _aligned_phase_min(a, b, p, area, tol=1e-10):
     refined by Brent's method between those neighbours.  A second minimum
     can hide just outside that bracket, so each gap beyond a neighbour that
     is lower than the sample past it, and where the objective descends away
-    from the low sample, is refined too.  The best sample or refinement
-    wins, the first found on ties.
+    from the low sample, is refined too.  Each refinement starts from the
+    scan values at its bracket's ends and stops at the objective's rounding
+    floor (see _brent_min).  The best sample or refinement wins, the first
+    found on ties.
 
     Each evaluation reuses one complex and one real work array and applies
     the same ufuncs to the same operands as the plain expression
@@ -147,8 +156,8 @@ def _aligned_phase_min(a, b, p, area, tol=1e-10):
                     and side * (objective(j * step + 1e-6) - vals[j]) < 0):
                 brackets.append((min(j, j + side), max(j, j + side), j))
     for lo, hi, k in brackets:
-        x, v = _brent_min(objective, lo * step, hi * step, k * step,
-                          vals[k], tol)
+        x, v = _brent_min(objective, lo * step, hi * step, k * step, vals[k],
+                          vals[lo % _SCAN], vals[hi % _SCAN], tol)
         if v < best[1]:
             best = (x % (2.0 * math.pi), v)
     return best
@@ -165,8 +174,7 @@ def global_phase_distance(f: GaussianSum, g: GaussianSum, grid, p=2.0):
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    Ff = gabor_field(f, grid)
-    Fg = gabor_field(g, grid)
+    Ff, Fg = gabor_fields((f, g), grid)
     if p == 2.0:
         ip = complex(np.sum(np.conj(Ff.values) * Fg.values)) * grid.cell_area
         alpha = math.atan2(ip.imag, ip.real) if ip != 0 else 0.0
@@ -215,6 +223,15 @@ def measurement_norm_D(
                                   mask, consistent_powers)
 
 
+@functools.lru_cache(maxsize=4)
+def _moment_factor(grid, s):
+    """(|x| + |w|)^s on the grid's nodes, read-only and kept per (grid, s);
+    built from the node axes by broadcasting: no mesh arrays."""
+    factor = (np.abs(grid.x_nodes())[:, None] + np.abs(grid.w_nodes())) ** s
+    factor.flags.writeable = False
+    return factor
+
+
 def _measurement_norm_real(vals, grid, p, s, k, weight, mask, consistent_powers):
     """measurement_norm_D of the real value array vals on grid, with weight
     an array; the arguments are taken as already checked."""
@@ -232,9 +249,7 @@ def _measurement_norm_real(vals, grid, p, s, k, weight, mask, consistent_powers)
         fx, fw = np.gradient(vals, grid.dx, grid.dw, edge_order=2)
         sobolev = (lp_pow + cell_lp(fx) + cell_lp(fw)) ** (1.0 / p)
 
-    # (|x| + |w|)^s from the node axes by broadcasting: no mesh arrays
-    moment_factor = (np.abs(grid.x_nodes())[:, None] + np.abs(grid.w_nodes())) ** s
-    moment_pow = cell_lp(moment_factor * vals, weight)
+    moment_pow = cell_lp(_moment_factor(grid, s) * vals, weight)
     moment = moment_pow ** (1.0 / p) if consistent_powers else moment_pow
 
     return sobolev + lp_pow ** (1.0 / p) + moment
@@ -282,8 +297,7 @@ def stability_probe(
     else:
         denominator_mask = np.asarray(denominator_mask, dtype=bool)
 
-    Ff = gabor_field(f, grid)
-    Fg = gabor_field(g, grid)
+    Ff, Fg = gabor_fields((f, g), grid)
     area = grid.cell_area
     alpha, val = _aligned_phase_min(Ff.values[mask], Fg.values[mask], p, area)
     numerator = val ** (1.0 / p)

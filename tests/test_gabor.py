@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gaborlab.counterexamples import make_hpm
 from gaborlab.gabor import (
@@ -12,7 +13,9 @@ from gaborlab.gabor import (
     bargmann_eval,
     bargmann_modulus,
     gabor_eval,
+    gabor_evals,
     gabor_field,
+    gabor_fields,
     gabor_quadrature_oracle,
 )
 from gaborlab.grid import TFGrid
@@ -158,6 +161,58 @@ def test_memoized_field_equals_eval_on_the_nodes(atoms, grid_a, grid_b, order):
         if prev is not None and prev.grid == grids[i]:
             assert field is prev
         prev = field
+
+
+@st.composite
+def signal_tuples(draw):
+    """Tuples of sums on one pool of atom positions, so that two sums share
+    all, some or none of their positions, with coefficients up to 1e300;
+    or an hpm pair near make_hpm's smallest a.  Points more than 21.3 from
+    an atom take the e^{z + log c} branch."""
+    if draw(st.booleans()):
+        pair = make_hpm(draw(st.floats(0.034, 0.05)))
+        return (pair.plus, pair.minus)
+    pool = draw(st.lists(st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)),
+                         min_size=1, max_size=5, unique=True))
+    coeffs = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e300)
+    sums = []
+    for _ in range(draw(st.integers(1, 4))):
+        positions = draw(st.lists(st.sampled_from(pool), max_size=len(pool), unique=True))
+        sums.append(GaussianSum((draw(coeffs), u, b) for u, b in positions))
+    return tuple(sums)
+
+
+@st.composite
+def point_sets(draw):
+    """(x, w): two scalars, two vectors, or a column and a row that broadcast."""
+    coords = st.floats(-30.0, 30.0)
+    shapes = draw(st.sampled_from([((), ()), ((7,), (7,)), ((5, 1), (1, 4)), ((3, 1), (6,))]))
+    x, w = (draw(arrays(float, shape, elements=coords)) for shape in shapes)
+    return (float(x), float(w)) if x.shape == () else (x, w)
+
+
+@settings(max_examples=120, deadline=None)
+@given(signal_tuples(), point_sets())
+def test_joint_evaluation_keeps_each_signals_bits(sums, points):
+    joint = gabor_evals(sums, *points)
+    assert len(joint) == len(sums)
+    for sig, vals in zip(sums, joint):
+        alone = gabor_eval(sig, *points)
+        assert type(vals) is type(alone)
+        assert np.asarray(vals).tobytes() == np.asarray(alone).tobytes()
+
+
+def test_joint_fields_fill_each_memo():
+    grid = TFGrid(-3, 3, -2, 2, 31, 21)
+    pair = make_hpm(0.4)
+    warm = random_sum(np.random.default_rng(9))
+    first = gabor_field(warm, grid)
+    fields = gabor_fields((pair.plus, warm, pair.minus), grid)
+    assert fields[1] is first
+    for sig, field in zip((pair.plus, warm, pair.minus), fields):
+        assert gabor_field(sig, grid) is field
+        assert field.values.tobytes() == gabor_eval(sig, *grid.mesh()).tobytes()
+        assert not field.values.flags.writeable
 
 
 def test_empty_signal_field():

@@ -16,7 +16,7 @@ from gaborlab.norms import (
     measurement_norm_D,
     stability_probe,
 )
-from gaborlab.counterexamples import gamma_threshold, make_fpm, make_hpm
+from gaborlab.counterexamples import gamma_threshold, make_fpm, make_gpm, make_hpm
 from gaborlab.signals import GaussianSum, gaussian, signal_norm
 
 
@@ -209,8 +209,8 @@ def allocating_aligned_phase_min(a, b, p, area, tol=1e-10):
                     and side * (objective(j * step + 1e-6) - vals[j]) < 0):
                 brackets.append((min(j, j + side), max(j, j + side), j))
     for lo, hi, k in brackets:
-        x, v = norms._brent_min(objective, lo * step, hi * step, k * step,
-                                vals[k], tol)
+        x, v = norms._brent_min(objective, lo * step, hi * step, k * step, vals[k],
+                                vals[lo % norms._SCAN], vals[hi % norms._SCAN], tol)
         if v < best[1]:
             best = (x % (2.0 * math.pi), v)
     return best
@@ -259,6 +259,37 @@ def test_probe_alignment_evaluation_budget(monkeypatch):
     monkeypatch.setattr(norms.np, "exp", counting_exp)
     stability_probe(pair.plus, pair.minus, mask, grid, 1.0, 4.0)
     assert 0 < len(calls) <= 60
+
+
+def test_sweep_alignments_stop_at_the_rounding_floor(monkeypatch):
+    # cases drawn like the benchmark's pair analyses: a stability probe and
+    # a phase distance at p on the 121^2 probe grid per case; each objective
+    # evaluation takes one scalar np.exp
+    rng = np.random.default_rng(0)
+    grid = TFGrid(-3, 3, -3, 3, 121, 121)
+    mask = disk_mask(grid, 3.0)
+    evaluations, alignments = [], []
+    exp, align = np.exp, norms._aligned_phase_min
+
+    def counting_exp(x, *args, **kwargs):
+        if np.ndim(x) == 0:
+            evaluations.append(x)
+        return exp(x, *args, **kwargs)
+
+    def counting_align(*args, **kwargs):
+        alignments.append(args[2])
+        return align(*args, **kwargs)
+
+    monkeypatch.setattr(norms.np, "exp", counting_exp)
+    monkeypatch.setattr(norms, "_aligned_phase_min", counting_align)
+    for make in (make_hpm, make_fpm, make_gpm):
+        for _ in range(8):
+            a, gamma, p = rng.uniform(1 / 6, 1), 10 ** rng.uniform(-3, 0), rng.uniform(1, 2)
+            pair = make(a) if make is make_hpm else make(a, gamma)
+            stability_probe(pair.plus, pair.minus, mask, grid, p, 4.0)
+            global_phase_distance(pair.plus, pair.minus, grid, p)
+    assert len(alignments) == 48
+    assert len(evaluations) / len(alignments) <= 26
 
 
 def test_measurement_norm_zero_field():
