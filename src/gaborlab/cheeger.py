@@ -39,6 +39,8 @@ class Cut:
     def __post_init__(self):
         if self.kind not in CUT_KINDS:
             raise ValueError(f"unknown cut kind {self.kind!r}")
+        if not math.isfinite(self.parameter):
+            raise ValueError(f"cut parameter must be finite, got {self.parameter!r}")
         if self.kind == "circle" and self.parameter <= 0:
             raise ValueError("circle radius must be positive")
 
@@ -61,20 +63,31 @@ class _CutTable:
         grid, mask = domain.grid, domain.mask
         self.xs, self.ws = grid.x_nodes(), grid.w_nodes()
         self.dx, self.dw, self.area = grid.dx, grid.dw, grid.cell_area
+        self.x_left = self.xs - self.dx / 2.0  # left edge of each node's cell
         w = np.where(mask, domain.weight, 0.0)
         self.col_mass = w.sum(axis=1) * self.area
         # both sides are summed directly: subtracting one side from the total
         # cancels catastrophically when that side carries almost all the mass
         self.left = np.concatenate(([0.0], np.cumsum(self.col_mass)))
         self.right = np.concatenate((np.cumsum(self.col_mass[::-1])[::-1], [0.0]))
-        # weight and cell flags are C-ordered, so take() reads them by flat index
-        self.weight = np.ascontiguousarray(domain.weight)
+        self.weight = domain.weight
         self.cell_ok = mask[:-1, :-1] & mask[1:, :-1] & mask[:-1, 1:] & mask[1:, 1:]
+        self._corners = None
         r2 = (self.xs[:, None] ** 2 + self.ws[None, :] ** 2)[mask]
         order = np.argsort(r2)
         self.r2, node_w = r2[order], domain.weight[mask][order]
         self.inner = np.concatenate(([0.0], np.cumsum(node_w)))
         self.outer = np.concatenate((np.cumsum(node_w[::-1])[::-1], [0.0]))
+
+    def corners(self):
+        """The weight at each cell's four corners and the cell's flag, flat and
+        contiguous so that one cell index reads all five; built at the first
+        circle, as vertical cuts read the weight rows directly."""
+        if self._corners is None:
+            wt = self.weight
+            self._corners = (wt[:-1, :-1].ravel(), wt[1:, :-1].ravel(),
+                             wt[:-1, 1:].ravel(), wt[1:, 1:].ravel(), self.cell_ok.ravel())
+        return self._corners
 
 
 def _cut_table(domain: WeightedDomain) -> _CutTable:
@@ -86,8 +99,9 @@ def _cut_table(domain: WeightedDomain) -> _CutTable:
 def _vertical_side_masses(domain: WeightedDomain, c):
     """(mass of {x < c}, mass of {x > c}) with boundary cells split by coverage."""
     t = _cut_table(domain)
-    frac = np.clip((c - (t.xs - t.dx / 2.0)) / t.dx, 0.0, 1.0)
-    # frac falls with x: full columns, then the partly covered ones, then none
+    frac = (c - t.x_left) / t.dx
+    # frac falls with x: full columns (>= 1), then the partly covered ones,
+    # strictly inside (0, 1), then none (<= 0)
     full, some = int(np.count_nonzero(frac >= 1.0)), int(np.count_nonzero(frac > 0.0))
     part, cover = t.col_mass[full:some], frac[full:some]
     return (float(t.left[full] + (part * cover).sum()),
@@ -107,27 +121,6 @@ def _vertical_boundary_integral(domain: WeightedDomain, c):
     return float(seg[t.cell_ok[i]].sum())
 
 
-def _bilinear(domain: WeightedDomain, x, w):
-    """(weight, in_mask) at arbitrary points by bilinear interpolation."""
-    t = _cut_table(domain)
-    gx, gw, nw = t.xs, t.ws, len(t.ws)
-    ix = np.clip(((x - gx[0]) / t.dx).astype(int), 0, len(gx) - 2)
-    iw = np.clip(((w - gw[0]) / t.dw).astype(int), 0, nw - 2)
-    tx = (x - gx[ix]) / t.dx
-    tw = (w - gw[iw]) / t.dw
-    inside = (x >= gx[0]) & (x <= gx[-1]) & (w >= gw[0]) & (w <= gw[-1])
-    ok = t.cell_ok.take(ix * (nw - 1) + iw)
-    k = ix * nw + iw
-    wt = t.weight
-    val = (
-        wt.take(k) * (1 - tx) * (1 - tw)
-        + wt.take(k + nw) * tx * (1 - tw)
-        + wt.take(k + 1) * (1 - tx) * tw
-        + wt.take(k + nw + 1) * tx * tw
-    )
-    return val, inside & ok
-
-
 def _circle_side_masses(domain: WeightedDomain, r):
     t = _cut_table(domain)
     # side="right" counts the nodes with x^2 + w^2 <= r^2, as a mask would
@@ -136,12 +129,30 @@ def _circle_side_masses(domain: WeightedDomain, r):
 
 
 def _circle_boundary_integral(domain: WeightedDomain, r):
-    grid = domain.grid
-    n_theta = max(512, int(8.0 * 2.0 * math.pi * r / min(grid.dx, grid.dw)))
-    theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
+    """Equal-angle sum of the bilinearly interpolated weight along the circle
+    of radius r, over the points whose grid cell lies in Omega."""
+    t = _cut_table(domain)
+    xs, ws = t.xs, t.ws
+    n_theta = max(512, int(8.0 * 2.0 * math.pi * r / min(t.dx, t.dw)))
+    # the same bits as np.linspace(0, 2 pi, n_theta, endpoint=False)
+    theta = np.arange(n_theta) * (2.0 * math.pi / n_theta)
     x = r * np.cos(theta)
     w = r * np.sin(theta)
-    val, ok = _bilinear(domain, x, w)
+    ix = ((x - xs[0]) / t.dx).astype(int)
+    iw = ((w - ws[0]) / t.dw).astype(int)
+    np.minimum(np.maximum(ix, 0, out=ix), len(xs) - 2, out=ix)
+    np.minimum(np.maximum(iw, 0, out=iw), len(ws) - 2, out=iw)
+    tx = (x - xs.take(ix)) / t.dx
+    tw = (w - ws.take(iw)) / t.dw
+    ux, uw = 1 - tx, 1 - tw
+    w00, w10, w01, w11, cell_ok = t.corners()
+    cell = ix * (len(ws) - 1) + iw
+    val = (w00.take(cell) * ux * uw + w10.take(cell) * tx * uw
+           + w01.take(cell) * ux * tw + w11.take(cell) * tx * tw)
+    ok = cell_ok.take(cell)
+    # |fl(r cos theta)| <= r: when [-r, r]^2 lies in the grid, every point does
+    if not (xs[0] <= -r and r <= xs[-1] and ws[0] <= -r and r <= ws[-1]):
+        ok &= (x >= xs[0]) & (x <= xs[-1]) & (w >= ws[0]) & (w <= ws[-1])
     return float(val[ok].sum()) * r * (2.0 * math.pi / n_theta)
 
 
@@ -152,13 +163,15 @@ def cut_ratio(domain: WeightedDomain, cut: Cut) -> float:
     ratio needs no exponent.
     """
     if cut.kind == "vertical_line":
-        lo, hi = _vertical_side_masses(domain, cut.parameter)
-        boundary = _vertical_boundary_integral(domain, cut.parameter)
+        side_masses, boundary_integral = _vertical_side_masses, _vertical_boundary_integral
     else:
-        lo, hi = _circle_side_masses(domain, cut.parameter)
-        boundary = _circle_boundary_integral(domain, cut.parameter)
-    side = min(lo, hi)
-    if side <= 0.0 or boundary <= 0.0:
+        side_masses, boundary_integral = _circle_side_masses, _circle_boundary_integral
+    side = min(side_masses(domain, cut.parameter))
+    # an empty side is refused before the boundary is sampled: the circle
+    # quadrature grows with r, and a circle with mass on both sides stays
+    # within the mask's reach
+    boundary = boundary_integral(domain, cut.parameter) if side > 0.0 else 0.0
+    if boundary <= 0.0:
         raise InadmissibleCutError(f"{cut} does not separate the domain")
     return boundary / side
 

@@ -52,6 +52,7 @@ class WeightedDomain:
     _cuts: object | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        import scipy.sparse as sp
         from scipy.sparse.csgraph import connected_components
 
         self.mask = np.asarray(self.mask, dtype=bool)
@@ -63,8 +64,13 @@ class WeightedDomain:
             raise ValueError("mask is empty")
         if np.any(self.weight[self.mask] <= 0):
             raise ValueError("weights on the mask must be strictly positive")
-        # the stiffness graph is the 4-neighbour graph of the mask
-        if connected_components(self.operators()[0], directed=False)[0] != 1:
+        # the stiffness graph is the 4-neighbour graph of the mask; its edges
+        # alone decide connectivity, so the pencil is left to operators()
+        n, ((ax, bx), (aw, bw)) = _stencil(self.mask)
+        a, b = np.concatenate((ax, aw)), np.concatenate((bx, bw))
+        # float64 entries: connected_components would copy any other dtype
+        graph = sp.csr_matrix((np.ones(len(a)), (a, b)), shape=(n, n))
+        if connected_components(graph, directed=False)[0] != 1:
             raise ValueError("mask must be a single 4-connected component")
 
     @property
@@ -107,6 +113,18 @@ def weighted_domain_from_values(grid, values, mask=None,
                          f" (floor_rel {floor_rel:g} of its maximum) splits") from exc
 
 
+def _stencil(mask):
+    """Node count and, along x then along w, the (lower end, upper end) node
+    indices of the mask's 4-neighbour edges; nodes are the masked grid points
+    in C order."""
+    n = int(np.count_nonzero(mask))
+    index = np.full(mask.shape, -1, dtype=np.int64)
+    index[mask] = np.arange(n)
+    ex = mask[:-1, :] & mask[1:, :]
+    ew = mask[:, :-1] & mask[:, 1:]
+    return n, ((index[:-1, :][ex], index[1:, :][ex]), (index[:, :-1][ew], index[:, 1:][ew]))
+
+
 def assemble_operators(domain: WeightedDomain):
     """(stiffness, mass): sparse SPSD stiffness and the diagonal of the mass.
 
@@ -117,37 +135,20 @@ def assemble_operators(domain: WeightedDomain):
     """
     import scipy.sparse as sp
 
-    grid, mask, weight = domain.grid, domain.mask, domain.weight
-    dx, dw = grid.dx, grid.dw
-    index = -np.ones(grid.shape, dtype=np.int64)
-    flat_ids = np.flatnonzero(mask.ravel())
-    index.ravel()[flat_ids] = np.arange(len(flat_ids))
-    n = len(flat_ids)
-
+    grid = domain.grid
+    n, edges = _stencil(domain.mask)
+    node_w = domain.node_weights()
     rows, cols, vals = [], [], []
-
-    def add_edges(pair_mask, i_a, i_b, conductance):
-        g = conductance[pair_mask]
-        a = i_a[pair_mask]
-        b = i_b[pair_mask]
+    for (a, b), scale in zip(edges, (grid.dw / grid.dx, grid.dx / grid.dw)):
+        g = 0.5 * (node_w[a] + node_w[b]) * scale
         rows.extend((a, b, a, b))
         cols.extend((a, b, b, a))
         vals.extend((g, g, -g, -g))
-
-    ex = mask[:-1, :] & mask[1:, :]
-    gx = 0.5 * (weight[:-1, :] + weight[1:, :]) * (dw / dx)
-    add_edges(ex, index[:-1, :], index[1:, :], gx)
-
-    ew = mask[:, :-1] & mask[:, 1:]
-    gw = 0.5 * (weight[:, :-1] + weight[:, 1:]) * (dx / dw)
-    add_edges(ew, index[:, :-1], index[:, 1:], gw)
-
     S = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n),
     ).tocsr()
-    m = weight.ravel()[flat_ids] * grid.cell_area
-    return S, m
+    return S, node_w * grid.cell_area
 
 
 @dataclass(eq=False)

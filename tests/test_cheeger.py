@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gaborlab.cheeger import (
@@ -14,7 +14,13 @@ from gaborlab.cheeger import (
     dumbbell_weight,
     vertical_cut_family,
 )
-from gaborlab.cheeger import _vertical_side_masses
+from gaborlab.cheeger import (
+    _circle_boundary_integral,
+    _circle_side_masses,
+    _cut_table,
+    _vertical_boundary_integral,
+    _vertical_side_masses,
+)
 from gaborlab.counterexamples import gamma_threshold, make_fpm
 from gaborlab.gabor import gabor_magnitude_field
 from gaborlab.grid import TFGrid, disk_mask
@@ -37,6 +43,19 @@ def test_cut_validation():
         Cut("diagonal", 0.0)
     with pytest.raises(ValueError):
         Cut("circle", -1.0)
+    for kind in ("vertical_line", "circle"):
+        for bad in (math.nan, math.inf, -math.inf, np.float64("nan")):
+            with pytest.raises(ValueError, match="must be finite"):
+                Cut(kind, bad)
+
+
+def test_circle_beyond_the_mask_is_refused_before_sampling():
+    # the sweep workload's cut-scan grid: the circle's quadrature would take
+    # about 1e10 points here if its boundary were sampled before its sides
+    grid = TFGrid(-2.55, 2.55, -1.5, 1.5, 101, 61)
+    dom = dumbbell_weight(3.0, 0.1, 0.35, grid)
+    with pytest.raises(InadmissibleCutError):
+        cut_ratio(dom, Cut("circle", 1e7))
 
 
 def test_midpoint_cut_halves_symmetric_mass():
@@ -294,3 +313,110 @@ def test_cut_ratio_matches_direct_sums(dom, x_fracs, r_fracs):
             assert ratio is expected, cut
         else:
             assert abs(ratio - expected) <= 1e-12 * expected, cut
+
+
+# ---------------------------------------------------------------------------
+# cut quantities against a plainer evaluation, bit for bit: clipped indices,
+# a bounds test at every point and np.linspace angles
+# ---------------------------------------------------------------------------
+
+
+def clipped_side_masses(domain, c):
+    """Vertical side masses with the coverage clipped to [0, 1]."""
+    t = _cut_table(domain)
+    frac = np.clip((c - (t.xs - t.dx / 2.0)) / t.dx, 0.0, 1.0)
+    full, some = int(np.count_nonzero(frac >= 1.0)), int(np.count_nonzero(frac > 0.0))
+    part, cover = t.col_mass[full:some], frac[full:some]
+    return (float(t.left[full] + (part * cover).sum()),
+            float(t.right[some] + (part * (1.0 - cover)).sum()))
+
+
+def clipped_bilinear(domain, x, w):
+    """(weight, in_mask) at arbitrary points: clipped cell indices, a bounds
+    test at every point, and the corners read by flat node index."""
+    t = _cut_table(domain)
+    gx, gw, nw = t.xs, t.ws, len(t.ws)
+    ix = np.clip(((x - gx[0]) / t.dx).astype(int), 0, len(gx) - 2)
+    iw = np.clip(((w - gw[0]) / t.dw).astype(int), 0, nw - 2)
+    tx = (x - gx[ix]) / t.dx
+    tw = (w - gw[iw]) / t.dw
+    inside = (x >= gx[0]) & (x <= gx[-1]) & (w >= gw[0]) & (w <= gw[-1])
+    ok = t.cell_ok.take(ix * (nw - 1) + iw)
+    k = ix * nw + iw
+    wt = np.ascontiguousarray(domain.weight)
+    val = (
+        wt.take(k) * (1 - tx) * (1 - tw)
+        + wt.take(k + nw) * tx * (1 - tw)
+        + wt.take(k + 1) * (1 - tx) * tw
+        + wt.take(k + nw + 1) * tx * tw
+    )
+    return val, inside & ok
+
+
+def clipped_circle_integral(domain, r):
+    grid = domain.grid
+    n_theta = max(512, int(8.0 * 2.0 * math.pi * r / min(grid.dx, grid.dw)))
+    theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
+    val, ok = clipped_bilinear(domain, r * np.cos(theta), r * np.sin(theta))
+    return float(val[ok].sum()) * r * (2.0 * math.pi / n_theta)
+
+
+def clipped_cut_ratio(domain, cut):
+    """Both sides and the boundary first, then the admissibility test."""
+    if cut.kind == "vertical_line":
+        lo, hi = clipped_side_masses(domain, cut.parameter)
+        boundary = _vertical_boundary_integral(domain, cut.parameter)
+    else:
+        lo, hi = _circle_side_masses(domain, cut.parameter)
+        boundary = clipped_circle_integral(domain, cut.parameter)
+    side = min(lo, hi)
+    return None if side <= 0.0 or boundary <= 0.0 else boundary / side
+
+
+@st.composite
+def holed_domains(draw):
+    """Random weights on the largest 4-connected piece of a mask with holes,
+    on grids that may or may not hold the origin."""
+    from scipy.ndimage import label
+
+    nx, nw = draw(st.integers(2, 50)), draw(st.integers(2, 50))
+    x0, w0 = draw(st.floats(-4.0, 1.0)), draw(st.floats(-4.0, 1.0))
+    grid = TFGrid(x0, x0 + draw(st.floats(0.2, 5.0)), w0, w0 + draw(st.floats(0.2, 5.0)),
+                  nx, nw)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pieces, count = label(rng.random(grid.shape) >= draw(st.floats(0.0, 0.4)))
+    assume(count > 0)
+    mask = pieces == 1 + np.argmax(np.bincount(pieces.ravel())[1:])
+    return weighted_domain_from_values(grid, rng.uniform(0.01, 1.0, grid.shape), mask)
+
+
+@settings(max_examples=150, deadline=None)
+@given(holed_domains(), st.lists(st.floats(-0.3, 1.3), max_size=6),
+       st.lists(st.floats(0.0, 1.5, exclude_min=True), max_size=6))
+def test_cut_quantities_keep_the_clipped_evaluations_bits(dom, x_fracs, r_fracs):
+    grid = dom.grid
+    xs, ws = grid.x_nodes(), grid.w_nodes()
+    edges = (grid.x_min, grid.x_max, grid.w_min, grid.w_max)
+    reach = math.hypot(max(abs(grid.x_min), abs(grid.x_max)),
+                       max(abs(grid.w_min), abs(grid.w_max)))
+    # lines inside and outside the grid, on its ends, its nodes and its cell
+    # edges; circles inside it, through it, tangent to its sides and beyond it
+    positions = [grid.x_min + f * (grid.x_max - grid.x_min) for f in x_fracs]
+    positions += list(xs[::2]) + [xs[-1]] + list(xs[::3] - grid.dx / 2.0)
+    positions += list(xs[1::3] + grid.dx / 2.0)
+    radii = [f * reach for f in r_fracs] + [abs(e) for e in edges if e != 0.0]
+    radii += [r for r in np.hypot(xs[::5, None], ws[None, ::5]).ravel() if r > 0]
+    cuts = [Cut("vertical_line", float(c)) for c in positions]
+    cuts += [Cut("circle", float(r)) for r in radii]
+    for cut in cuts:
+        if cut.kind == "vertical_line":
+            assert _vertical_side_masses(dom, cut.parameter) == clipped_side_masses(
+                dom, cut.parameter), cut
+        else:
+            assert _circle_boundary_integral(dom, cut.parameter) == clipped_circle_integral(
+                dom, cut.parameter), cut
+        try:
+            ratio = cut_ratio(dom, cut)
+        except InadmissibleCutError:
+            ratio = None
+        assert ratio == clipped_cut_ratio(dom, cut), cut

@@ -131,7 +131,7 @@ def test_domain_validation():
     diagonal = np.zeros(grid.shape, bool)
     diagonal[3, 3] = diagonal[4, 4] = True
     for disconnected in (far_apart, diagonal):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^mask must be a single 4-connected component$"):
             weighted_domain_from_values(grid, np.ones(grid.shape), disconnected)
     with pytest.raises(ValueError):
         weighted_domain_from_values(grid, np.ones(grid.shape),
@@ -619,6 +619,52 @@ def small_domains(draw):
             break
         mask[tuple(frontier[rng.integers(len(frontier))])] = True
     return weighted_domain_from_values(grid, values, mask, floor_rel)
+
+
+def test_domain_assembles_its_pencil_on_first_use():
+    dom = full_basis_domain()
+    assert dom._ops is None
+    S, _ = dom.operators()
+    assert dom._ops is not None and dom.operators()[0] is S
+
+
+@st.composite
+def corner_touching_masks(draw):
+    """(grid, mask, weight) with a random mask thinned to one colour of a
+    checkerboard in a random window, where its cells meet only at corners."""
+    nx, nw = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    grid = TFGrid(0.0, 1.0, 0.0, 1.0, nx, nw)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random(grid.shape) < draw(st.floats(0.3, 1.0))
+    i, j = np.indices(grid.shape)
+    lo_i, lo_j = draw(st.integers(0, nx - 1)), draw(st.integers(0, nw - 1))
+    window = (i >= lo_i) & (j >= lo_j)
+    mask &= ~window | ((i + j) % 2 == draw(st.integers(0, 1)))
+    return grid, mask, rng.uniform(0.5, 2.0, grid.shape)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_domains().map(lambda d: (d.grid, d.mask, d.weight)),
+                 corner_touching_masks()))
+def test_mask_graph_check_agrees_with_the_assembled_stiffness(case):
+    from scipy.sparse.csgraph import connected_components
+
+    from gaborlab.spectral import WeightedDomain
+
+    grid, mask, weight = case
+    assume(mask.any())
+    # the pencil of any mask, past the connectivity check
+    unchecked = object.__new__(WeightedDomain)
+    unchecked.grid, unchecked.mask, unchecked.weight = grid, mask, weight
+    S, _ = assemble_operators(unchecked)
+    connected = connected_components(S, directed=False)[0] == 1
+    try:
+        WeightedDomain(grid, mask, weight)
+    except ValueError as exc:
+        assert str(exc) == "mask must be a single 4-connected component"
+        assert not connected
+    else:
+        assert connected
 
 
 def pair_count(dom, m):
