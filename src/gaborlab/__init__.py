@@ -37,10 +37,11 @@ from .counterexamples import (
     verify_pair,
 )
 from .gabor import (
-    bargmann_cs_derivative,
+    CRGradientReport,
     bargmann_derivative,
     bargmann_eval,
     bargmann_modulus,
+    cr_gradient_check,
     gabor_eval,
     gabor_evals,
     gabor_field,
@@ -65,7 +66,6 @@ from .signals import (
     signal_phase_distance,
 )
 from .spectral import (
-    CRGradientReport,
     RefinementReport,
     SolverConvergenceError,
     SpectralDecomposition,
@@ -73,7 +73,6 @@ from .spectral import (
     WeightedDomain,
     assemble_operators,
     build_weighted_domain,
-    cr_gradient_check,
     poincare_estimate,
     rayleigh,
     refinement_check,

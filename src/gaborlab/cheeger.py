@@ -49,7 +49,7 @@ class Cut:
 class CheegerReport:
     best_cut: Cut
     h_upper: float
-    lambda1: float
+    lambda_1: float
     inverse_h: float
     poincare: float
     chain_ok: bool
@@ -123,8 +123,10 @@ def _vertical_boundary_integral(domain: WeightedDomain, c):
 
 def _circle_side_masses(domain: WeightedDomain, r):
     t = _cut_table(domain)
-    # side="right" counts the nodes with x^2 + w^2 <= r^2, as a mask would
-    k = int(np.searchsorted(t.r2, r**2, side="right"))
+    # side="right" counts the nodes with x^2 + w^2 <= r^2, as a mask would.
+    # Python floats square a radius past sqrt(max double) to inf with no
+    # error or warning: every node is then inside, and one side is empty
+    k = int(np.searchsorted(t.r2, float(r) * float(r), side="right"))
     return float(t.inner[k]) * t.area, float(t.outer[k]) * t.area
 
 
@@ -206,7 +208,7 @@ def cheeger_upper_bound(
     return CheegerReport(
         best_cut=best[0],
         h_upper=best[1],
-        lambda1=lam1,
+        lambda_1=lam1,
         inverse_h=inverse_h,
         poincare=poinc,
         chain_ok=bool(poinc <= chain_slack * inverse_h),

@@ -34,13 +34,12 @@ from .counterexamples import (
     make_fpm,
     make_gpm,
     make_hpm,
-    pair_magnitude,
     root_set_pair,
     tilt_magnitude,
     verify_pair,
 )
 from .gabor import gabor_fields, gabor_magnitude_field
-from .grid import ComplexField, MagnitudeField, TFGrid, disk_mask
+from .grid import ComplexField, TFGrid, disk_mask
 from .norms import measurement_norm_D, stability_probe
 from .signals import GaussianSum, gaussian
 from .spectral import (
@@ -147,12 +146,9 @@ def _spectrogram_field(cfg):
                                   "hpm", cfg["a"])
     else:
         pair = _make_pair(sig, cfg)
-    if cfg["tau"] > 0.0:
-        plus_field, minus_field = tilt_magnitude(pair, cfg["tau"], grid)
-        return plus_field if cfg["sign"] == "plus" else minus_field
-    X, W = grid.mesh()
-    vals = pair_magnitude(pair, +1 if cfg["sign"] == "plus" else -1, X, W)
-    return MagnitudeField(grid, vals)
+    # tau = 0 is the untilted field
+    plus_field, minus_field = tilt_magnitude(pair, cfg["tau"], grid)
+    return plus_field if cfg["sign"] == "plus" else minus_field
 
 
 def cmd_spectrogram(cfg):
@@ -323,12 +319,14 @@ def cmd_spectrum(cfg):
     return 0, {"eigenvalues": dec.eigenvalues}, _provenance(domain, dec)
 
 
-_POINCARE_DEFAULTS = dict(_DOMAIN_DEFAULTS, m=2, out_dir=".")
+# lambda_1 alone sets the constant: more pairs change only its last bits
+# and the solve's cost, so poincare solves for two, as cheeger does
+_POINCARE_DEFAULTS = dict(_DOMAIN_DEFAULTS, out_dir=".")
 
 
 def cmd_poincare(cfg):
     domain = _build_domain(cfg)
-    dec = solve_spectrum(domain, cfg["m"])
+    dec = solve_spectrum(domain, 2)
     est = poincare_estimate(dec)
     payload = {"poincare": est, "lambda_1": float(dec.eigenvalues[1])}
     print(f"poincare estimate = {est!r}")
@@ -415,9 +413,7 @@ def cmd_cheeger(cfg):
     dec = solve_spectrum(domain, 2)
     report = cheeger_upper_bound(domain, family, chain_slack=cfg["chain_slack"],
                                  decomposition=dec)
-    payload = {("lambda_1" if key == "lambda1" else key): val
-               for key, val in dataclasses.asdict(report).items()}
-    return 0, payload, _provenance(domain, dec)
+    return 0, dataclasses.asdict(report), _provenance(domain, dec)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +436,7 @@ def cmd_probe(cfg):
 
 _DNORM_DEFAULTS = dict(
     kind="fpm", a=0.5, gamma=0.1, p=1.0, s=4.0, k=1, R=4.0, n=161,
-    dnorm_consistent_powers=False, out_dir=".",
+    out_dir=".",
 )
 
 
@@ -449,15 +445,10 @@ def cmd_dnorm(cfg):
     grid = TFGrid(-cfg["R"], cfg["R"], -cfg["R"], cfg["R"], cfg["n"], cfg["n"])
     fp, fm = gabor_fields((pair.plus, pair.minus), grid)
     diff = ComplexField(grid, (np.abs(fp.values) - np.abs(fm.values)).astype(complex))
-    value = measurement_norm_D(
-        diff, cfg["p"], cfg["s"], cfg["k"],
-        weight=np.abs(fp.values) ** cfg["p"],
-        consistent_powers=cfg["dnorm_consistent_powers"],
-    )
-    payload = {"value": value,
-               "dnorm_consistent_powers": cfg["dnorm_consistent_powers"]}
+    value = measurement_norm_D(diff, cfg["p"], cfg["s"], cfg["k"],
+                               weight=np.abs(fp.values) ** cfg["p"])
     print(f"D-norm = {value!r}")
-    return 0, payload, None
+    return 0, {"value": value}, None
 
 
 # ---------------------------------------------------------------------------
@@ -512,12 +503,8 @@ def build_parser():
         p.add_argument("--config")
         for key in _settable(table):
             flag = f"-{key}" if len(key) == 1 else "--" + key.replace("_", "-")
-            kind = _type(key, table[key])
-            if kind is bool:
-                p.add_argument(flag, dest=key, action="store_const", const=True)
-            else:
-                p.add_argument(flag, dest=key, type=kind,
-                               choices=_CHOICES.get(key))
+            p.add_argument(flag, dest=key, type=_type(key, table[key]),
+                           choices=_CHOICES.get(key))
     return parser
 
 

@@ -52,7 +52,8 @@ class Lattice:
     are taken; by default every line within the extent is used.  A
     rectangular lattice takes those line levels on both axes, so offset
     shifts it off a Z x a Z diagonally and k_max bounds both of its index
-    ranges; line_sample_count does not apply to it.
+    ranges; line_sample_count does not apply to it.  A lattice with no
+    line, or a negative extent, is rejected.
     """
 
     kind: str
@@ -70,6 +71,12 @@ class Lattice:
             raise ValueError("lattice spacing a must be positive")
         if self.line_sample_count < 3:
             raise ValueError("line_sample_count must be >= 3")
+        if self.extent < 0 or not len(self.line_levels()):
+            raise ValueError(
+                f"the lattice has no line: k_max {self.k_max}, extent "
+                f"{self.extent}, offset {self.offset} (lines a k + offset need "
+                f"k_max >= 0, extent >= 0, and offset <= extent when k_max "
+                f"is unset)")
 
     @property
     def extent(self):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,9 +115,6 @@ def gabor_quadrature_oracle(f: GaussianSum, x, w, step=1e-2):
 def gabor_field(f: GaussianSum, grid: TFGrid) -> ComplexField:
     """G f sampled on every grid node, row-major with omega fastest: the
     one-signal case of gabor_fields."""
-    memo = f._field  # a memo hit skips the tuples of the general case
-    if memo is not None and memo.grid == grid:
-        return memo
     return gabor_fields((f,), grid)[0]
 
 
@@ -148,61 +146,35 @@ def gabor_magnitude_field(f: GaussianSum, grid: TFGrid) -> MagnitudeField:
 # ---------------------------------------------------------------------------
 
 
-def _bargmann_exponents(f: GaussianSum, z):
-    """Per-atom exponents g_j(z) with B f(z) = sum_j c_j exp(g_j(z))."""
+def _bargmann_sum(f: GaussianSum, z, factors):
+    """(m, s) with sum_j factors_j exp(g_j(z)) = e^m s, where g_j(z) is the
+    exponent of atom j and m the largest Re g_j(z): the max-factored sum,
+    whose terms stay within the double range.  The zero signal gives
+    m = -inf and s = 0."""
     z = np.asarray(z, dtype=complex)
+    if f.is_zero:
+        return np.full(z.shape, -np.inf), np.zeros(z.shape, dtype=complex)
     gs = []
     for a in f.atoms:
         ub = a.shift + 1j * a.modulation
         q = -np.pi * a.shift**2 + (np.pi / 2.0) * ub * ub
         gs.append(np.pi * z * ub + q)
-    return gs
+    m = np.max([np.real(g) for g in gs], axis=0)
+    return m, sum(c * np.exp(g - m) for c, g in zip(factors, gs))
 
 
 def bargmann_eval(f: GaussianSum, z):
-    """B f(z) for complex z (scalar or array); stable via max-exponent factoring."""
-    if f.is_zero:
-        z = np.asarray(z, dtype=complex)
-        out = np.zeros(z.shape, dtype=complex)
-        return out if out.shape else 0j
-    gs = _bargmann_exponents(f, z)
-    m = np.max([np.real(g) for g in gs], axis=0)
-    acc = sum(c * np.exp(g - m) for c, g in zip(f.coeffs, gs))
-    return np.exp(m) * acc
+    """B f(z) for complex z (scalar or array)."""
+    m, s = _bargmann_sum(f, z, f.coeffs)
+    return np.exp(m) * s
 
 
 def bargmann_derivative(f: GaussianSum, z):
-    """Analytic derivative (B f)'(z) from the closed form."""
-    if f.is_zero:
-        z = np.asarray(z, dtype=complex)
-        out = np.zeros(z.shape, dtype=complex)
-        return out if out.shape else 0j
-    gs = _bargmann_exponents(f, z)
-    m = np.max([np.real(g) for g in gs], axis=0)
-    acc = 0j
-    for a, g in zip(f.atoms, gs):
-        ub = a.shift + 1j * a.modulation
-        acc = acc + a.coeff * (np.pi * ub) * np.exp(g - m)
-    return np.exp(m) * acc
-
-
-def bargmann_cs_derivative(f: GaussianSum, z):
-    """(B f)'(z) by complex-step differentiation of the closed form, step 1e-6.
-
-    The real and imaginary parts of F along the real direction are continued
-    analytically through the companion function F~(w) = conj(F(conj w)), so
-    Re F' and Im F' are read off imaginary parts of F(z + ih) and F~(z* + ih)
-    with no subtractive step in h.
-    """
-    z, h = complex(z), 1e-6
-    # F~ is the Bargmann transform of the sum with conjugated coefficients
-    # and negated modulations
-    conj_f = GaussianSum((np.conj(a.coeff), a.shift, -a.modulation) for a in f.atoms)
-    A = bargmann_eval(f, z + 1j * h)
-    B = bargmann_eval(conj_f, np.conj(z) + 1j * h)
-    re = (np.imag(A) + np.imag(B)) / (2.0 * h)
-    im = (np.real(B) - np.real(A)) / (2.0 * h)
-    return complex(re, im)
+    """Analytic derivative (B f)'(z) from the closed form: atom j's term
+    gains the factor pi (u_j + i b_j)."""
+    factors = [a.coeff * (np.pi * (a.shift + 1j * a.modulation)) for a in f.atoms]
+    m, s = _bargmann_sum(f, z, factors)
+    return np.exp(m) * s
 
 
 def bargmann_modulus(f: GaussianSum, x, w):
@@ -211,15 +183,54 @@ def bargmann_modulus(f: GaussianSum, x, w):
     Computed in log space; returns +inf when the result exceeds the double
     range (overflow flag per contract).
     """
-    if f.is_zero:
-        return 0.0
-    gs = _bargmann_exponents(f, complex(x, w))
-    m = max(float(np.real(g)) for g in gs)
-    acc = sum(c * np.exp(g - m) for c, g in zip(f.coeffs, gs))
-    mag = abs(acc)
+    m, s = _bargmann_sum(f, complex(x, w), f.coeffs)
+    mag = abs(s)
     if mag == 0.0:
         return 0.0
     log_total = m + math.log(mag)
     if log_total > _LOG_HUGE:
         return math.inf
     return math.exp(log_total)
+
+
+@dataclass(frozen=True)
+class CRGradientReport:
+    """Finite-difference |grad |F|| vs derivative-modulus |F'| per point."""
+
+    points: np.ndarray
+    fd_gradient: np.ndarray
+    derivative_modulus: np.ndarray
+    abs_errors: np.ndarray
+    rel_errors: np.ndarray
+    max_abs_error: float
+    max_rel_error: float
+    step: float
+
+
+def cr_gradient_check(f, points, step=1e-4) -> CRGradientReport:
+    """Check |grad |B f|| = |(B f)'| at the given points.
+
+    The gradient of the modulus is taken by second-order central differences
+    with the given step; the derivative modulus is that of
+    bargmann_derivative.  Points must keep |B f| above 1e-8.  Relative
+    errors are reported where the derivative modulus exceeds 1e-8; absolute
+    errors everywhere.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    fd = np.empty(len(pts))
+    dm = np.empty(len(pts))
+    for i, (x, w) in enumerate(pts):
+        z = complex(x, w)
+        if abs(bargmann_eval(f, z)) <= 1e-8:
+            raise ValueError(f"point {(x, w)} is too close to a zero of the transform")
+        gx = (bargmann_modulus(f, x + step, w) - bargmann_modulus(f, x - step, w)) / (2 * step)
+        gw = (bargmann_modulus(f, x, w + step) - bargmann_modulus(f, x, w - step)) / (2 * step)
+        fd[i] = math.hypot(gx, gw)
+        dm[i] = abs(bargmann_derivative(f, z))
+    abs_err = np.abs(fd - dm)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.where(dm > 1e-8, abs_err / np.where(dm > 1e-8, dm, 1.0), 0.0)
+    return CRGradientReport(
+        pts, fd, dm, abs_err, rel,
+        float(abs_err.max()), float(rel.max()), step,
+    )

@@ -115,8 +115,7 @@ def require_same_grid(a, b):
         raise ValueError("fields live on different grids")
 
 
-def disk_mask(grid, radius, center=(0.0, 0.0)):
-    # squared node offsets broadcast over the axes: no mesh arrays
-    dw2 = (grid.w_nodes() - center[1]) ** 2
-    return ((grid.x_nodes() - center[0]) ** 2)[:, None] + dw2 <= radius**2
-
+def disk_mask(grid, radius):
+    """Nodes within radius of the origin; the squared node coordinates are
+    broadcast over the axes: no mesh arrays."""
+    return (grid.x_nodes() ** 2)[:, None] + grid.w_nodes() ** 2 <= radius**2

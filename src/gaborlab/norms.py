@@ -23,6 +23,15 @@ _SCAN = 12  # phase samples of the alignment scan
 _ULPS4 = 4.0 * np.finfo(float).eps  # the alignment objective's resolution
 
 
+def _cell_lp(vals, p, area, weight=None, mask=None):
+    """sum_i |v_i|^p w_i dx dw over the nodes in mask, with no root taken:
+    the one midpoint-cell quadrature of every L^p term here."""
+    integrand = np.abs(vals) ** p if weight is None else np.abs(vals) ** p * weight
+    if mask is not None:
+        integrand = integrand[np.asarray(mask, dtype=bool)]
+    return float(np.sum(integrand)) * area
+
+
 def lp_field_norm(field, p, weight=None, mask=None):
     """(sum_i |F_i|^p w_i dx dw)^(1/p) over unmasked nodes.
 
@@ -32,24 +41,15 @@ def lp_field_norm(field, p, weight=None, mask=None):
     if p < 1:
         raise ValueError("p must be >= 1")
     grid = field.grid
-    vals = np.abs(field.values)
     if weight is not None:
         if hasattr(weight, "grid"):
             require_same_grid(field, weight)
-        wv = field_values(weight)
-        if wv.shape != grid.shape:
+        weight = field_values(weight)
+        if weight.shape != grid.shape:
             raise ValueError("weight shape does not match the grid")
-    else:
-        wv = None
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != grid.shape:
-            raise ValueError("mask shape does not match the grid")
-    integrand = vals**p if wv is None else vals**p * wv
-    if mask is not None:
-        integrand = integrand[mask]
-    total = float(np.sum(integrand)) * grid.cell_area
-    return total ** (1.0 / p)
+    if mask is not None and np.shape(mask) != grid.shape:
+        raise ValueError("mask shape does not match the grid")
+    return _cell_lp(field.values, p, grid.cell_area, weight, mask) ** (1.0 / p)
 
 
 def _brent_min(fn, lo, hi, x, fx, flo, fhi, tol):
@@ -191,14 +191,12 @@ def measurement_norm_D(
     k,
     weight,
     mask=None,
-    consistent_powers=False,
 ):
     """Measurement-space norm: W^{k,p} norm + L^p norm + weighted s-moment.
 
     The first two terms are unweighted; the third is
     ||(|x|+|w|)^s F||_{L^p(Omega, w)} raised to the power p, transcribing the
-    printed definition literally.  consistent_powers=True applies the 1/p
-    root to the third term instead (the likely-intended reading).
+    printed definition literally.
 
     Derivatives (k = 1) use central differences, second-order one-sided at
     the grid boundary; k must be 0 or 1.
@@ -219,8 +217,7 @@ def measurement_norm_D(
             raise ValueError("measurement_norm_D needs a real-valued field; "
                              "this one has a nonzero imaginary part")
         vals = vals.real
-    return _measurement_norm_real(vals, field.grid, p, s, k, field_values(weight),
-                                  mask, consistent_powers)
+    return _measurement_norm_real(vals, field.grid, p, s, k, field_values(weight), mask)
 
 
 @functools.lru_cache(maxsize=4)
@@ -232,26 +229,18 @@ def _moment_factor(grid, s):
     return factor
 
 
-def _measurement_norm_real(vals, grid, p, s, k, weight, mask, consistent_powers):
+def _measurement_norm_real(vals, grid, p, s, k, weight, mask):
     """measurement_norm_D of the real value array vals on grid, with weight
     an array; the arguments are taken as already checked."""
-
-    def cell_lp(arr, w=None):
-        integrand = np.abs(arr) ** p if w is None else np.abs(arr) ** p * w
-        if mask is not None:
-            integrand = integrand[np.asarray(mask, dtype=bool)]
-        return float(np.sum(integrand)) * grid.cell_area
-
-    lp_pow = cell_lp(vals)
+    area = grid.cell_area
+    lp_pow = _cell_lp(vals, p, area, mask=mask)
     if k == 0:
         sobolev = lp_pow ** (1.0 / p)
     else:
         fx, fw = np.gradient(vals, grid.dx, grid.dw, edge_order=2)
-        sobolev = (lp_pow + cell_lp(fx) + cell_lp(fw)) ** (1.0 / p)
-
-    moment_pow = cell_lp(_moment_factor(grid, s) * vals, weight)
-    moment = moment_pow ** (1.0 / p) if consistent_powers else moment_pow
-
+        sobolev = (lp_pow + _cell_lp(fx, p, area, mask=mask)
+                   + _cell_lp(fw, p, area, mask=mask)) ** (1.0 / p)
+    moment = _cell_lp(_moment_factor(grid, s) * vals, p, area, weight, mask)
     return sobolev + lp_pow ** (1.0 / p) + moment
 
 
@@ -278,7 +267,6 @@ def stability_probe(
     grid,
     p,
     s,
-    denominator_mask=None,
 ):
     """Probe the local stability constant of f against the candidate g.
 
@@ -292,10 +280,6 @@ def stability_probe(
     mask = np.asarray(mask, dtype=bool)
     if not mask.any():
         raise ValueError("mask must be nonempty")
-    if denominator_mask is None:
-        denominator_mask = mask
-    else:
-        denominator_mask = np.asarray(denominator_mask, dtype=bool)
 
     Ff, Fg = gabor_fields((f, g), grid)
     area = grid.cell_area
@@ -305,15 +289,14 @@ def stability_probe(
     mag_f = Ff.magnitude()
     # |G f| - |G g| is real: the norm's core takes it without a complex copy
     denominator = _measurement_norm_real(
-        mag_f.values - np.abs(Fg.values), grid, p, s, 1, mag_f.values**p,
-        denominator_mask, consistent_powers=False,
+        mag_f.values - np.abs(Fg.values), grid, p, s, 1, mag_f.values**p, mask,
     )
 
     alpha = alpha % (2 * math.pi)
     if denominator > 0.0:
         return ProbeReport(alpha, numerator, denominator, numerator / denominator)
     # denominator identically zero: same magnitudes on Omega to rounding
-    scale = float(np.sum(np.abs(Ff.values[mask]) ** p)) * area
+    scale = _cell_lp(Ff.values, p, area, mask=mask)
     if numerator <= 1e-12 * scale ** (1.0 / p):
         return ProbeReport(alpha, numerator, denominator, 0.0)
     return ProbeReport(alpha, numerator, denominator, math.inf, infinite_ratio=True)

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gabor import bargmann_cs_derivative, bargmann_eval, bargmann_modulus
 from .grid import TFGrid
 
 DEFAULT_FLOOR_REL = 1e-14
@@ -407,45 +406,3 @@ def variation_bound_check(dA: WeightedDomain, dB: WeightedDomain) -> VariationRe
         decomposition_a=dec_a, decomposition_b=dec_b,
     )
 
-
-@dataclass(frozen=True)
-class CRGradientReport:
-    """Finite-difference |grad |F|| vs derivative-modulus |F'| per point."""
-
-    points: np.ndarray
-    fd_gradient: np.ndarray
-    derivative_modulus: np.ndarray
-    abs_errors: np.ndarray
-    rel_errors: np.ndarray
-    max_abs_error: float
-    max_rel_error: float
-    step: float
-
-
-def cr_gradient_check(f, points, step=1e-4) -> CRGradientReport:
-    """Check |grad |B f|| = |(B f)'| at the given points.
-
-    The gradient of the modulus is taken by second-order central differences
-    with the given step; the derivative modulus comes from complex-step
-    differentiation of the entire closed form.  Points must keep |B f|
-    above 1e-8.  Relative errors are reported where the oracle exceeds
-    1e-8; absolute errors everywhere.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    fd = np.empty(len(pts))
-    cs = np.empty(len(pts))
-    for i, (x, w) in enumerate(pts):
-        z = complex(x, w)
-        if abs(bargmann_eval(f, z)) <= 1e-8:
-            raise ValueError(f"point {(x, w)} is too close to a zero of the transform")
-        gx = (bargmann_modulus(f, x + step, w) - bargmann_modulus(f, x - step, w)) / (2 * step)
-        gw = (bargmann_modulus(f, x, w + step) - bargmann_modulus(f, x, w - step)) / (2 * step)
-        fd[i] = math.hypot(gx, gw)
-        cs[i] = abs(bargmann_cs_derivative(f, z))
-    abs_err = np.abs(fd - cs)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.where(cs > 1e-8, abs_err / np.where(cs > 1e-8, cs, 1.0), 0.0)
-    return CRGradientReport(
-        pts, fd, cs, abs_err, rel,
-        float(abs_err.max()), float(rel.max()), step,
-    )

@@ -30,6 +30,7 @@ from gaborlab.counterexamples import (
 )
 from gaborlab.gabor import (
     bargmann_eval,
+    cr_gradient_check,
     gabor_eval,
     gabor_magnitude_field,
     gabor_quadrature_oracle,
@@ -39,7 +40,6 @@ from gaborlab.signals import GaussianSum, gaussian
 from gaborlab.spectral import (
     assemble_operators,
     build_weighted_domain,
-    cr_gradient_check,
     poincare_estimate,
     refinement_check,
     solve_spectrum,

@@ -58,6 +58,16 @@ def test_circle_beyond_the_mask_is_refused_before_sampling():
         cut_ratio(dom, Cut("circle", 1e7))
 
 
+@pytest.mark.parametrize("radius", [1e200, np.float64(1e200), 1.7e308])
+def test_circle_past_the_square_root_of_the_largest_double_is_inadmissible(radius):
+    # r^2 overflows: the whole domain lies inside, and no overflow error or
+    # warning escapes
+    grid = TFGrid(-3, 3, -1.5, 1.5, 11, 7)
+    dom = dumbbell_weight(3.0, 0.1, 0.35, grid)
+    with pytest.raises(InadmissibleCutError, match="does not separate"):
+        cut_ratio(dom, Cut("circle", radius))
+
+
 def test_midpoint_cut_halves_symmetric_mass():
     grid = TFGrid(-3, 3, -1.5, 1.5, 241, 121)
     dom = dumbbell_weight(3.0, 0.1, 0.35, grid)
@@ -117,9 +127,9 @@ def test_gaussian_circle_cuts_have_no_neck():
     report = cheeger_upper_bound(dom, circle_cut_family(0.3, 3.9, 60))
     assert report.h_upper >= 0.5
     # spectral-Cheeger comparison is recorded, not asserted sharply
-    print(f"gaussian: lambda1 = {report.lambda1:.3f}, h_upper = {report.h_upper:.3f}, "
-          f"lambda1/h = {report.lambda1 / report.h_upper:.3f}")
-    assert report.lambda1 <= 10.0 * report.h_upper
+    print(f"gaussian: lambda_1 = {report.lambda_1:.3f}, h_upper = {report.h_upper:.3f}, "
+          f"lambda_1/h = {report.lambda_1 / report.h_upper:.3f}")
+    assert report.lambda_1 <= 10.0 * report.h_upper
 
 
 def test_h_upper_monotone_in_gamma():
@@ -221,7 +231,7 @@ def test_chain_ok_recorded():
     dom = fpm_domain(0.5, 1.0, n=61)
     rep = cheeger_upper_bound(dom, vertical_cut_family(-3.0, 3.5, 41))
     assert isinstance(rep.chain_ok, bool)
-    assert rep.poincare == pytest.approx(1 / math.sqrt(rep.lambda1), rel=1e-12)
+    assert rep.poincare == pytest.approx(1 / math.sqrt(rep.lambda_1), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -472,7 +472,7 @@ UNREAD = [
 @pytest.mark.parametrize("args, config, message", [
     (["spectrogram"], {"sign": "bogus"}, "'sign'"),
     (["spectrum"], {"n": "41"}, "'n'"),
-    (["dnorm"], {"dnorm_consistent_powers": "no"}, "'dnorm_consistent_powers'"),
+    (["dnorm"], {"dnorm_consistent_powers": True}, "'dnorm_consistent_powers'"),
     (["threshold"], [1, 2], "JSON object"),
     (["figure1a", "--preset", "fig1b"], None, "--preset"),
     (["refine", "--n-fields", 0], None, "n_fields"),
@@ -493,6 +493,13 @@ UNREAD = [
     # keys that the resolved kind does not read, as flags and from a config file
     *[([name, *flags(opts)], None, message) for name, opts, message in UNREAD],
     *[([name], opts, message) for name, opts, message in UNREAD],
+    # poincare solves for two pairs, as cheeger does; the D-norm's moment
+    # term is the printed one
+    (["poincare", "-m", 3], None, "-m"),
+    (["poincare"], {"m": 3}, "'m'"),
+    (["dnorm", "--dnorm-consistent-powers"], None, "--dnorm-consistent-powers"),
+    # every pair spectrogram is a tilt, the untilted one at tau = 0
+    (["spectrogram", "--signal", "hpm", "--tau", -0.1], None, "tau must be >= 0"),
 ])
 def test_rejected_input_exits_1(tmp_path, capsys, args, config, message):
     if config is not None:
@@ -502,6 +509,20 @@ def test_rejected_input_exits_1(tmp_path, capsys, args, config, message):
     assert exit_code([*args, "--out-dir", tmp_path / "out"]) == 1
     err = capsys.readouterr().err
     assert "error:" in err and message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["--k-max", -1],
+    ["--extent", -1],
+    ["--offset", 100],
+    ["--lattice", "rectangular", "--k-max", -1],
+])
+def test_a_lattice_with_no_line_exits_1(tmp_path, capsys, args):
+    assert exit_code(["verify", *args, "--out-dir", tmp_path / "out"]) == 1
+    err = capsys.readouterr().err
+    assert "error: the lattice has no line" in err and "Traceback" not in err
+    assert all(key in err for key in ("k_max", "extent", "offset"))
     assert not (tmp_path / "out").exists()
 
 
@@ -572,7 +593,7 @@ OTHER = dict(
     k_min=-2, k_max=2, tol=1e-30, noneq_floor=1e6, R=3.5, delta=0.5, p=1.5,
     n=23, floor_rel=1e-6, m=3, separation=4.0, bridge=0.2, sigma=0.3,
     corridor_sigma=0.2, k=2, n_fields=4, seed=8, cut_lo=-1.0, cut_hi=1.0,
-    cut_count=10, chain_slack=5.0, scale=7.0, s=3.0, dnorm_consistent_powers=True,
+    cut_count=10, chain_slack=5.0, scale=7.0, s=3.0,
 )
 OTHER_IN = {("dnorm", "k"): 0}  # D-norms take k = 0 or 1
 

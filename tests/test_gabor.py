@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,10 +9,10 @@ from hypothesis.extra.numpy import arrays
 
 from gaborlab.counterexamples import make_hpm
 from gaborlab.gabor import (
-    bargmann_cs_derivative,
     bargmann_derivative,
     bargmann_eval,
     bargmann_modulus,
+    cr_gradient_check,
     gabor_eval,
     gabor_evals,
     gabor_field,
@@ -275,15 +276,51 @@ def test_bargmann_overflow_flag():
     assert bargmann_modulus(GaussianSum(), 30.0, 30.0) == 0.0
 
 
+def complex_step_derivative(f, z, h=1e-6):
+    """(B f)'(z) by complex-step differentiation of the closed form.
+
+    Re F and Im F along the real direction are continued analytically
+    through the companion function F~(w) = conj(F(conj w)), the transform of
+    the sum with conjugated coefficients and negated modulations, so Re F'
+    and Im F' are read off imaginary parts of F(z + ih) and F~(z* + ih) with
+    no subtractive step in h."""
+    conj_f = GaussianSum((np.conj(a.coeff), a.shift, -a.modulation) for a in f.atoms)
+    A = bargmann_eval(f, z + 1j * h)
+    B = bargmann_eval(conj_f, np.conj(z) + 1j * h)
+    return complex((np.imag(A) + np.imag(B)) / (2.0 * h), (np.real(B) - np.real(A)) / (2.0 * h))
+
+
 def test_complex_step_matches_analytic_derivative():
     rng = np.random.default_rng(15)
     for _ in range(10):
         f = random_sum(rng, 4)
         z = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
-        d_cs = bargmann_cs_derivative(f, z)
+        d_cs = complex_step_derivative(f, z)
         d_an = bargmann_derivative(f, z)
         assert abs(d_cs - d_an) <= 1e-7 * max(1.0, abs(d_an))
         # derivative consistent with a coarse finite difference of B f
         h = 1e-5
         d_fd = (bargmann_eval(f, z + h) - bargmann_eval(f, z - h)) / (2 * h)
         assert abs(d_fd - d_an) <= 1e-3 * max(1.0, abs(d_an))
+
+
+def test_bargmann_of_the_zero_signal_is_zero():
+    zero = GaussianSum()
+    zs = np.array([[0.0, 1.5 - 2j], [-3j, 40.0 + 40j]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn in (bargmann_eval, bargmann_derivative):
+            assert fn(zero, 0.5 - 1j) == 0
+            out = fn(zero, zs)
+            assert out.shape == zs.shape and not out.any()
+        assert bargmann_modulus(zero, 0.5, -1.0) == 0.0
+        assert bargmann_modulus(zero, 40.0, 40.0) == 0.0
+
+
+def test_cr_check_reads_the_analytic_derivative():
+    rng = np.random.default_rng(16)
+    f = make_hpm(0.5).plus
+    pts = rng.uniform(-1.0, 1.0, (6, 2))
+    rep = cr_gradient_check(f, pts)
+    expect = [abs(bargmann_derivative(f, complex(x, w))) for x, w in pts]
+    np.testing.assert_array_equal(rep.derivative_modulus, expect)

@@ -330,21 +330,7 @@ def test_measurement_norm_grid_refinement_consistency():
     assert abs(vals[1] - vals[0]) / vals[0] <= 0.01
 
 
-def test_measurement_norm_consistent_powers_switch():
-    grid = TFGrid(-3, 3, -3, 3, 61, 61)
-    mag = gabor_magnitude_field(gaussian(), grid)
-    F = ComplexField(grid, mag.values.astype(complex))
-    raw = measurement_norm_D(F, 2.0, 1.0, 0, mag.values, consistent_powers=False)
-    fixed = measurement_norm_D(F, 2.0, 1.0, 0, mag.values, consistent_powers=True)
-    assert raw != fixed
-    # they differ exactly by replacing the third term t with t^{1/p}
-    lp = lp_field_norm(mag, 2.0)
-    third_raw = raw - 2 * lp
-    third_fixed = fixed - 2 * lp
-    assert third_fixed == pytest.approx(third_raw ** (1 / 2.0), rel=1e-9)
-
-
-def complex_dnorm(field, p, s, k, weight, consistent_powers=False):
+def complex_dnorm(field, p, s, k, weight):
     """measurement_norm_D as it was in complex arithmetic, the oracle for the
     real-valued version: every term of a complex-typed field."""
     grid, vals = field.grid, field.values.astype(complex)
@@ -360,8 +346,7 @@ def complex_dnorm(field, p, s, k, weight, consistent_powers=False):
         fx, fw = np.gradient(vals, grid.dx, grid.dw, edge_order=2)
         sobolev = (lp_pow + cell_lp(fx) + cell_lp(fw)) ** (1.0 / p)
     X, W = grid.mesh()
-    moment_pow = cell_lp((np.abs(X) + np.abs(W)) ** s * vals, weight)
-    moment = moment_pow ** (1.0 / p) if consistent_powers else moment_pow
+    moment = cell_lp((np.abs(X) + np.abs(W)) ** s * vals, weight)
     return sobolev + lp_pow ** (1.0 / p) + moment
 
 
@@ -378,14 +363,13 @@ def magnitude_difference(kind, n):
 def test_real_measurement_norm_matches_the_complex_formula(kind, p):
     grid, diff, mag = magnitude_difference(kind, 61)
     field = ComplexField(grid, diff.astype(complex))
-    for consistent in (False, True):
-        # k = 0 has no difference quotient: |x + 0i| = |x| keeps every bit
-        assert (measurement_norm_D(field, p, 4.0, 0, mag**p, consistent_powers=consistent)
-                == complex_dnorm(field, p, 4.0, 0, mag**p, consistent))
-        # k = 1 divides by the spacing in real instead of complex arithmetic
-        expect = complex_dnorm(field, p, 4.0, 1, mag**p, consistent)
-        got = measurement_norm_D(field, p, 4.0, 1, mag**p, consistent_powers=consistent)
-        assert abs(got - expect) <= 1e-14 * expect
+    # k = 0 has no difference quotient: |x + 0i| = |x| keeps every bit
+    assert (measurement_norm_D(field, p, 4.0, 0, mag**p)
+            == complex_dnorm(field, p, 4.0, 0, mag**p))
+    # k = 1 divides by the spacing in real instead of complex arithmetic
+    expect = complex_dnorm(field, p, 4.0, 1, mag**p)
+    got = measurement_norm_D(field, p, 4.0, 1, mag**p)
+    assert abs(got - expect) <= 1e-14 * expect
 
 
 def test_measurement_norm_real_field_equals_its_complex_copy():
@@ -453,14 +437,3 @@ def test_probe_hpm_less_stable_than_fpm():
     rep_f = stability_probe(fp.plus, fp.minus, mask, grid, 1.0, 4.0)
     assert rep_h.ratio > rep_f.ratio
 
-
-def test_probe_ratio_monotone_under_denominator_shrink():
-    pair = make_fpm(0.5, math.exp(-5 * math.pi))
-    grid = TFGrid(-3, 3, -3, 3, 121, 121)
-    mask = disk_mask(grid, 3.0)
-    ratios = [
-        stability_probe(pair.plus, pair.minus, mask, grid, 1.0, 4.0,
-                        denominator_mask=disk_mask(grid, r)).ratio
-        for r in (3.0, 2.0, 1.0)
-    ]
-    assert ratios[0] <= ratios[1] <= ratios[2]

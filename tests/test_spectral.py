@@ -14,7 +14,7 @@ from scipy.linalg import eigh
 
 from gaborlab.cli import main
 from gaborlab.counterexamples import gamma_threshold, make_fpm, root_set_fpm
-from gaborlab.gabor import gabor_magnitude_field
+from gaborlab.gabor import cr_gradient_check, gabor_magnitude_field
 from gaborlab.grid import TFGrid, disk_mask
 from gaborlab.signals import gaussian
 from gaborlab.spectral import (
@@ -23,7 +23,6 @@ from gaborlab.spectral import (
     _residual_norms,
     assemble_operators,
     build_weighted_domain,
-    cr_gradient_check,
     poincare_estimate,
     rayleigh,
     refinement_check,
@@ -104,12 +103,12 @@ def test_trim_removes_the_root_nodes():
     # than a grid diagonal from one
     a, gamma = 0.5, 1.0
     grid = TFGrid(-1, 3, -2, 2, 81, 81)  # nodes at (1, +-0.25): dx = dw = 0.05
-    mask = disk_mask(grid, 2.0, center=(1.0, 0.0))
+    X, W = grid.mesh()
+    mask = (X - 1.0) ** 2 + W**2 <= 2.0**2  # the disk of radius 2 about (1, 0)
     mag = gabor_magnitude_field(make_fpm(a, gamma).plus, grid)
     dom = build_weighted_domain(mag, 2.0, mask, 1e-14)
     np.testing.assert_array_equal(dom.trimmed, mask & ~dom.mask)
     roots = root_set_fpm(a, gamma, +1, -8, 8)
-    X, W = grid.mesh()
     diagonal = math.hypot(grid.dx, grid.dw)
     for i, j in zip(*np.nonzero(dom.trimmed)):
         d = np.min(np.hypot(roots[:, 0] - X[i, j], roots[:, 1] - W[i, j]))
