@@ -318,8 +318,8 @@ def tilt_magnitude(base: CounterexamplePair, tau, grid: TFGrid):
                             -np.inf)
         log_tilted = logm + math.pi * tau * X
         if np.max(log_tilted) > 0.99 * _LOG_HUGE:
-            raise OverflowError("tilted magnitude overflows at the grid edge; "
-                                "reduce tau or the grid extent")
+            raise ValueError(f"tau={tau!r}: the tilted magnitude overflows at the"
+                             " grid edge; reduce tau or the grid extent")
         out.append(MagnitudeField(grid, np.exp(log_tilted)))
     return tuple(out)
 

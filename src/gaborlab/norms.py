@@ -223,8 +223,14 @@ def measurement_norm_D(
 @functools.lru_cache(maxsize=4)
 def _moment_factor(grid, s):
     """(|x| + |w|)^s on the grid's nodes, read-only and kept per (grid, s);
-    built from the node axes by broadcasting: no mesh arrays."""
-    factor = (np.abs(grid.x_nodes())[:, None] + np.abs(grid.w_nodes())) ** s
+    built from the node axes by broadcasting: no mesh arrays.  An s that
+    makes it overflow, or a negative s on a grid with a node at the origin,
+    is refused."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        factor = (np.abs(grid.x_nodes())[:, None] + np.abs(grid.w_nodes())) ** s
+    if not np.all(np.isfinite(factor)):
+        raise ValueError(f"moment exponent s={s!r}: (|x| + |w|)^s is not finite"
+                         " on the grid")
     factor.flags.writeable = False
     return factor
 
@@ -240,7 +246,11 @@ def _measurement_norm_real(vals, grid, p, s, k, weight, mask):
         fx, fw = np.gradient(vals, grid.dx, grid.dw, edge_order=2)
         sobolev = (lp_pow + _cell_lp(fx, p, area, mask=mask)
                    + _cell_lp(fw, p, area, mask=mask)) ** (1.0 / p)
-    moment = _cell_lp(_moment_factor(grid, s) * vals, p, area, weight, mask)
+    factor = _moment_factor(grid, s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        moment = _cell_lp(factor * vals, p, area, weight, mask)
+    if not math.isfinite(moment):
+        raise ValueError(f"moment exponent s={s!r}: the D-norm's s-moment is not finite")
     return sobolev + lp_pow ** (1.0 / p) + moment
 
 

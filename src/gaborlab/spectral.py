@@ -8,8 +8,10 @@ Edges leaving the mask or the grid are simply absent, which is the discrete
 Neumann condition.  The first nontrivial eigenvalue of the pencil (S, M)
 gives the weighted Poincare constant 1/sqrt(lambda_1) at p = 2.
 
-scipy is imported inside the functions that use it, so that importing the
-package, and every command that solves no spectrum, does not load it.
+scipy is imported only inside the functions that assemble or solve the
+pencil.  Importing the package, building a domain (its connectivity check
+is plain numpy) and scanning cuts on it do not load scipy, nor does any
+command that solves no spectrum.
 """
 
 from __future__ import annotations
@@ -51,9 +53,6 @@ class WeightedDomain:
     _cuts: object | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        import scipy.sparse as sp
-        from scipy.sparse.csgraph import connected_components
-
         self.mask = np.asarray(self.mask, dtype=bool)
         self.weight = np.asarray(self.weight, dtype=float)
         self.trimmed = np.zeros(self.grid.shape, bool) if self.trimmed is None else self.trimmed
@@ -63,13 +62,10 @@ class WeightedDomain:
             raise ValueError("mask is empty")
         if np.any(self.weight[self.mask] <= 0):
             raise ValueError("weights on the mask must be strictly positive")
-        # the stiffness graph is the 4-neighbour graph of the mask; its edges
-        # alone decide connectivity, so the pencil is left to operators()
-        n, ((ax, bx), (aw, bw)) = _stencil(self.mask)
-        a, b = np.concatenate((ax, aw)), np.concatenate((bx, bw))
-        # float64 entries: connected_components would copy any other dtype
-        graph = sp.csr_matrix((np.ones(len(a)), (a, b)), shape=(n, n))
-        if connected_components(graph, directed=False)[0] != 1:
+        # the stiffness graph is the 4-neighbour graph of the mask, so the
+        # mask's runs decide connectivity in numpy; scipy and the pencil wait
+        # for operators()
+        if not _is_4_connected(self.mask):
             raise ValueError("mask must be a single 4-connected component")
 
     @property
@@ -110,6 +106,39 @@ def weighted_domain_from_values(grid, values, mask=None,
             raise
         raise ValueError(f"the weight's super-level set at the trim level {level:.3g}"
                          f" (floor_rel {floor_rel:g} of its maximum) splits") from exc
+
+
+def _is_4_connected(mask):
+    """Whether the nonempty mask's nodes form one 4-connected component.
+
+    Each x row splits into runs of consecutive nodes along w.  With a run's
+    ends [start, end) as row-major positions over rows one node longer than
+    the grid's, run j of the next row touches run i exactly when
+    start_j < end_i + width and end_j > start_i + width, a contiguous range
+    of j that two sorted searches find.  A union-find with path halving
+    joins the touching runs.
+    """
+    width = mask.shape[1] + 1
+    rows, cols = np.nonzero(np.diff(mask, axis=1, prepend=False, append=False))
+    edge = rows * width + cols  # a row's run ends alternate: start, end, ...
+    start, end = edge[0::2], edge[1::2]
+    lo = np.searchsorted(end, start + width, side="right").tolist()
+    hi = np.searchsorted(start, end + width, side="left").tolist()
+    parent = list(range(len(start)))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    components = len(parent)
+    for i in range(len(parent)):
+        for j in range(lo[i], hi[i]):
+            a, b = root(i), root(j)
+            if a != b:
+                parent[b] = a
+                components -= 1
+    return components == 1
 
 
 def _stencil(mask):

@@ -500,6 +500,14 @@ UNREAD = [
     (["dnorm", "--dnorm-consistent-powers"], None, "--dnorm-consistent-powers"),
     # every pair spectrogram is a tilt, the untilted one at tau = 0
     (["spectrogram", "--signal", "hpm", "--tau", -0.1], None, "tau must be >= 0"),
+    # a tilt or a moment exponent past the double range names its key
+    (["spectrogram", "--signal", "hpm", "--tau", 100], None,
+     "tau=100.0: the tilted magnitude overflows"),
+    (["probe", "-p", 1.999999, "-s", 1e300], None, "moment exponent s=1e+300"),
+    (["probe", "-s", -1], None, "moment exponent s=-1.0"),
+    (["dnorm", "-s", 1e300], None, "moment exponent s=1e+300"),
+    (["dnorm", "-s", -2], None, "moment exponent s=-2.0"),
+    (["dnorm", "-p", 2, "-s", 330], None, "s=330.0: the D-norm's s-moment is not finite"),
 ])
 def test_rejected_input_exits_1(tmp_path, capsys, args, config, message):
     if config is not None:

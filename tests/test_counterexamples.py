@@ -295,6 +295,9 @@ def test_tilt_stays_finite_on_wide_grids():
     assert np.all(np.isfinite(tm.values))
     with pytest.raises(ValueError):
         tilt_magnitude(pair, -0.1, grid)
+    # e^{pi tau x} past the double range is a ValueError that names tau
+    with pytest.raises(ValueError, match="^tau=100.0: the tilted magnitude overflows"):
+        tilt_magnitude(pair, 100.0, TFGrid(-6, 6, -6, 6, 31, 31))
 
 
 def test_rotation_identity_and_root_rotation():

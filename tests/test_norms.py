@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -387,6 +388,29 @@ def test_measurement_norm_rejects_a_nonzero_imaginary_part():
     values[3, 4] += 1e-300j
     with pytest.raises(ValueError, match="imaginary"):
         measurement_norm_D(ComplexField(grid, values), 1.0, 4.0, 1, mag)
+
+
+@pytest.mark.parametrize("s, p, message", [
+    (1e300, 1.0, "(|x| + |w|)^s is not finite"),  # overflows off the unit square
+    (-1.0, 1.0, "(|x| + |w|)^s is not finite"),  # infinite at the node at the origin
+    (300.0, 2.0, "s-moment is not finite"),  # 6^300 is finite, its square is not
+])
+def test_measurement_norm_refuses_a_moment_past_the_double_range(s, p, message):
+    # raised errors, not warnings: warnings are errors in this suite
+    grid = TFGrid(-3, 3, -3, 3, 21, 21)
+    ones = ComplexField(grid, np.ones(grid.shape, dtype=complex))
+    with pytest.raises(ValueError, match=re.escape(f"moment exponent s={s!r}: ") + ".*"
+                       + re.escape(message)):
+        measurement_norm_D(ones, p, s, 0, np.ones(grid.shape))
+
+
+@pytest.mark.parametrize("s", [1e300, -1.0])
+def test_probe_refuses_a_moment_factor_past_the_double_range(s):
+    # a NaN denominator would read as equal magnitudes, an infinite ratio
+    grid = TFGrid(-3, 3, -3, 3, 21, 21)
+    with pytest.raises(ValueError, match=re.escape(f"moment exponent s={s!r}: ")):
+        stability_probe(gaussian(), gaussian(shift=0.5), disk_mask(grid, 3.0), grid,
+                        1.999999, s)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5])

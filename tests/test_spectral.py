@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -407,16 +408,42 @@ def test_arpack_failure_is_a_solver_error(monkeypatch, tmp_path):
 
 def test_import_loads_no_scipy_until_a_solve():
     src = Path(__file__).resolve().parents[1] / "src"
-    code = (
-        "import sys\n"
-        "import numpy as np\n"
-        "import gaborlab, gaborlab.cli\n"
-        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
-        "assert not loaded, sorted(loaded)[:5]\n"
-        "grid = gaborlab.TFGrid(-1.0, 1.0, -1.0, 1.0, 9, 9)\n"
-        "dom = gaborlab.weighted_domain_from_values(grid, np.ones(grid.shape))\n"
-        "assert gaborlab.solve_spectrum(dom, 2).eigenvalues[1] > 0\n"
-    )
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import gaborlab as gl, gaborlab.cli
+
+        def scipy_loaded():
+            return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')[:5]
+
+        assert not scipy_loaded(), scipy_loaded()
+        # a cut scan of the benchmark's sweep: its 101 x 61 dumbbell domain
+        # and 101 cuts of each family
+        grid = gl.TFGrid(-2.55, 2.55, -1.5, 1.5, 101, 61)
+        dom = gl.dumbbell_weight(3.0, 0.05, 0.35, grid)
+        assert not scipy_loaded(), scipy_loaded()
+        cuts = [*gl.vertical_cut_family(grid.x_min + grid.dx, grid.x_max - grid.dx, 101),
+                *gl.circle_cut_family(1.5 / 101, 0.98 * 1.5, 101)]
+        for cut in cuts:
+            try:
+                gl.cut_ratio(dom, cut)
+            except gl.InadmissibleCutError:
+                pass
+        assert not scipy_loaded(), scipy_loaded()
+        # two bumps whose corridor lies below the trim level
+        try:
+            gl.dumbbell_weight(6.0, 1e-15, 0.35, gl.TFGrid(-4.5, 4.5, -1.5, 1.5, 101, 61))
+        except ValueError as exc:
+            assert "splits" in str(exc), exc
+        else:
+            raise AssertionError("the trimmed dumbbell did not split")
+        assert not scipy_loaded(), scipy_loaded()
+        grid = gl.TFGrid(-1.0, 1.0, -1.0, 1.0, 9, 9)
+        dom = gl.weighted_domain_from_values(grid, np.ones(grid.shape))
+        assert not scipy_loaded(), scipy_loaded()
+        assert gl.solve_spectrum(dom, 2).eigenvalues[1] > 0
+        assert scipy_loaded()
+    """)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(src), env.get("PYTHONPATH")) if p)
@@ -657,6 +684,98 @@ def test_mask_graph_check_agrees_with_the_assembled_stiffness(case):
     unchecked.grid, unchecked.mask, unchecked.weight = grid, mask, weight
     S, _ = assemble_operators(unchecked)
     connected = connected_components(S, directed=False)[0] == 1
+    try:
+        WeightedDomain(grid, mask, weight)
+    except ValueError as exc:
+        assert str(exc) == "mask must be a single 4-connected component"
+        assert not connected
+    else:
+        assert connected
+
+
+def spiral_mask(nx, nw):
+    """A one-node-wide clockwise spiral from the corner (0, 0): it turns
+    wherever going on would leave the grid or come next to its own path."""
+    mask = np.zeros((nx, nw), bool)
+
+    def inside(i, j):
+        return 0 <= i < nx and 0 <= j < nw
+
+    i = j = 0
+    di, dj = 0, 1
+    mask[i, j] = True
+    while True:
+        for _ in range(2):  # straight on, else after a right turn
+            if (inside(i + di, j + dj) and not mask[i + di, j + dj]
+                    and not (inside(i + 2 * di, j + 2 * dj) and mask[i + 2 * di, j + 2 * dj])):
+                i, j = i + di, j + dj
+                mask[i, j] = True
+                break
+            di, dj = dj, -di
+        else:
+            return mask
+
+
+def snake_mask(nx, nw):
+    """Every other x row in full, joined at alternate ends along w."""
+    mask = np.zeros((nx, nw), bool)
+    mask[::2] = True
+    mask[1::4, -1] = True
+    mask[3::4, 0] = True
+    return mask
+
+
+def comb_mask(nx, nw):
+    """A spine along w in the last x row and every other w column as a
+    tooth: every run of the rows above it meets the others only there."""
+    mask = np.zeros((nx, nw), bool)
+    mask[:, ::2] = True
+    mask[-1] = True
+    return mask
+
+
+def checkerboard_mask(nx, nw):
+    """One colour of a checkerboard: cells that meet only at corners."""
+    i, j = np.indices((nx, nw))
+    return (i + j) % 2 == 0
+
+
+@st.composite
+def adversarial_masks(draw):
+    """(grid, mask, weight) up to 64 x 64: a spiral, comb, snake or
+    checkerboard, in a random window of a random mask, mirrored or
+    transposed, with a few nodes cut out of it or added to it."""
+    nx, nw = draw(st.integers(2, 64)), draw(st.integers(2, 64))
+    grid = TFGrid(0.0, 1.0, 0.0, 1.0, nx, nw)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random(grid.shape) < draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+    lo_i, lo_j = draw(st.integers(0, nx - 1)), draw(st.integers(0, nw - 1))
+    hi_i, hi_j = draw(st.integers(lo_i + 1, nx)), draw(st.integers(lo_j + 1, nw))
+    shape = draw(st.sampled_from([spiral_mask, comb_mask, snake_mask, checkerboard_mask]))
+    rows, cols = hi_i - lo_i, hi_j - lo_j
+    pattern = shape(cols, rows).T if draw(st.booleans()) else shape(rows, cols)
+    if draw(st.booleans()):
+        pattern = pattern[::-1]
+    if draw(st.booleans()):
+        pattern = pattern[:, ::-1]
+    mask[lo_i:hi_i, lo_j:hi_j] = pattern
+    for _ in range(draw(st.integers(0, 3))):
+        mask[rng.integers(nx), rng.integers(nw)] ^= True
+    return grid, mask, rng.uniform(0.5, 2.0, grid.shape)
+
+
+@settings(max_examples=200, deadline=None)
+@given(adversarial_masks())
+def test_connectivity_check_agrees_with_the_stiffness_on_adversarial_masks(case):
+    from scipy.sparse.csgraph import connected_components
+
+    from gaborlab.spectral import WeightedDomain
+
+    grid, mask, weight = case
+    assume(mask.any())
+    unchecked = object.__new__(WeightedDomain)
+    unchecked.grid, unchecked.mask, unchecked.weight = grid, mask, weight
+    connected = connected_components(assemble_operators(unchecked)[0], directed=False)[0] == 1
     try:
         WeightedDomain(grid, mask, weight)
     except ValueError as exc:
