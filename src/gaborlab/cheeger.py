@@ -20,7 +20,6 @@ from .spectral import (
     SpectralDecomposition,
     WeightedDomain,
     poincare_estimate,
-    solve_spectrum,
     weighted_domain_from_values,
 )
 
@@ -178,19 +177,19 @@ def cut_ratio(domain: WeightedDomain, cut: Cut) -> float:
     return boundary / side
 
 
-def cheeger_upper_bound(
-    domain: WeightedDomain,
-    family,
-    chain_slack=10.0,
-    decomposition: SpectralDecomposition | None = None,
-) -> CheegerReport:
+def cheeger_upper_bound(domain: WeightedDomain, family, chain_slack=10.0, *,
+                        decomposition: SpectralDecomposition) -> CheegerReport:
     """Best (smallest) cut ratio over the family, plus the spectral chain.
 
     As in cut_ratio, the domain weight is already the measure density.
-    chain_ok records whether the Poincare estimate is at most
+    decomposition is the caller's solve of this domain's pencil, which
+    gives lambda_1 and the Poincare estimate; a solve of another domain is
+    refused.  chain_ok records whether the Poincare estimate is at most
     chain_slack / h_upper; the hidden constants of the chain are not
     claimed, only recorded against the configured slack.
     """
+    if decomposition.domain is not domain:
+        raise ValueError("decomposition is a solve of another domain")
     best = None
     for cut in family:
         try:
@@ -201,9 +200,8 @@ def cheeger_upper_bound(
             best = (cut, ratio)
     if best is None:
         raise InadmissibleCutError("no admissible cut in the family")
-    dec = decomposition or solve_spectrum(domain, 2)
-    lam1 = float(dec.eigenvalues[1])
-    poinc = poincare_estimate(dec)
+    lam1 = float(decomposition.eigenvalues[1])
+    poinc = poincare_estimate(decomposition)
     inverse_h = 1.0 / best[1]
     return CheegerReport(
         best_cut=best[0],

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gabor import _LOG_HUGE, gabor_evals
-from .grid import MagnitudeField, TFGrid
+from .grid import WORK_BUDGET, MagnitudeField, TFGrid
 from .signals import GaussianSum, phase_equivalent, signal_phase_distance
 
 LATTICE_KINDS = ("horizontal_lines", "vertical_lines", "rectangular")
@@ -46,14 +46,15 @@ class CounterexamplePair:
 class Lattice:
     """Family of parallel sampling lines (or a rectangular point lattice).
 
-    Lines sit at multiples of a (plus an optional absolute offset, used to
-    probe off-lattice disagreement) and are sampled at line_sample_count
-    points over [-line_extent, line_extent].  k_max limits how many lines
-    are taken; by default every line within the extent is used.  A
-    rectangular lattice takes those line levels on both axes, so offset
+    Lines sit at a k + offset (the offset probes off-lattice disagreement)
+    and are sampled at line_sample_count points over [-line_extent,
+    line_extent].  k_max limits the indices to |k| <= k_max; by default
+    every line of |k| <= (extent - offset) / a within the extent is used.
+    A rectangular lattice takes those line levels on both axes, so offset
     shifts it off a Z x a Z diagonally and k_max bounds both of its index
     ranges; line_sample_count does not apply to it.  A lattice with no
-    line, or a negative extent, is rejected.
+    line, a non-finite (extent + |offset|) / a, or more points than the
+    work budget is rejected before any array is built.
     """
 
     kind: str
@@ -71,12 +72,20 @@ class Lattice:
             raise ValueError("lattice spacing a must be positive")
         if self.line_sample_count < 3:
             raise ValueError("line_sample_count must be >= 3")
-        if self.extent < 0 or not len(self.line_levels()):
+        if not math.isfinite((self.extent + abs(self.offset)) / self.a):
+            raise ValueError(f"(extent + |offset|) / a must be finite: a {self.a!r},"
+                             f" extent {self.extent}, offset {self.offset}")
+        if self.extent < 0 or not self.n_lines:
             raise ValueError(
                 f"the lattice has no line: k_max {self.k_max}, extent "
                 f"{self.extent}, offset {self.offset} (lines a k + offset need "
                 f"k_max >= 0, extent >= 0, and offset <= extent when k_max "
                 f"is unset)")
+        per_line = self.n_lines if self.kind == "rectangular" else self.line_sample_count
+        if self.n_lines * per_line > WORK_BUDGET:
+            raise ValueError(f"the lattice's {self.n_lines} lines of {per_line} points (a"
+                             f" {self.a!r}, extent {self.extent}, k_max {self.k_max})"
+                             f" exceed the work budget of {WORK_BUDGET:.0e}")
 
     @property
     def extent(self):
@@ -84,14 +93,18 @@ class Lattice:
             return self.line_extent
         return max(4.0, 2.0 / self.a + 2.0)
 
+    def _k_range(self):
+        """(lo, hi): the line indices k run over lo..hi, empty when lo > hi."""
+        if self.k_max is not None:
+            return -self.k_max, self.k_max
+        hi = math.floor((self.extent - self.offset) / self.a)
+        # a negative offset would carry k = -hi past -extent
+        return max(-hi, math.ceil((-self.extent - self.offset) / self.a)), hi
+
     def line_levels(self):
         """Coordinates a*k + offset of the sampled lines."""
-        if self.k_max is not None:
-            kmax = self.k_max
-        else:
-            kmax = int(math.floor((self.extent - self.offset) / self.a))
-        ks = np.arange(-kmax, kmax + 1)
-        return self.a * ks + self.offset
+        lo, hi = self._k_range()
+        return self.a * np.arange(lo, hi + 1) + self.offset
 
     def sample_points(self):
         """(N, 2) array of sampling points in the rotated frame: each
@@ -110,7 +123,8 @@ class Lattice:
 
     @property
     def n_lines(self):
-        return len(self.line_levels())
+        lo, hi = self._k_range()
+        return max(hi - lo + 1, 0)
 
 
 def _rotation(theta):

@@ -6,6 +6,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# the most grid nodes, lattice points or cuts one computation may ask for,
+# checked before anything of that size is allocated
+WORK_BUDGET = 10**7
+
 
 @dataclass(frozen=True)
 class TFGrid:
@@ -26,6 +30,9 @@ class TFGrid:
     def __post_init__(self):
         if self.nx < 2 or self.nw < 2:
             raise ValueError("grid needs at least 2 nodes per axis")
+        if self.nx * self.nw > WORK_BUDGET:
+            raise ValueError(f"a grid of {self.nx} x {self.nw} nodes (nx x nw) exceeds"
+                             f" the work budget of {WORK_BUDGET:.0e} nodes")
         # also rejects bounds so close that the node spacing underflows and
         # nodes repeat
         for nodes in (self.x_nodes(), self.w_nodes()):

@@ -21,6 +21,7 @@ from .signals import GaussianSum, signal_phase_distance
 
 _SCAN = 12  # phase samples of the alignment scan
 _ULPS4 = 4.0 * np.finfo(float).eps  # the alignment objective's resolution
+_PHASE_TOL = 1e-10  # Brent's bracket tolerance on the phase
 
 
 def _cell_lp(vals, p, area, weight=None, mask=None):
@@ -112,7 +113,7 @@ def _brent_min(fn, lo, hi, x, fx, flo, fhi, tol):
                 v, fv = u, fu
 
 
-def _aligned_phase_min(a, b, p, area, tol=1e-10):
+def _aligned_phase_min(a, b, p, area):
     """(alpha, min_alpha sum |a - e^{-i alpha} b|^p * area) for value arrays
     a and b.
 
@@ -157,7 +158,7 @@ def _aligned_phase_min(a, b, p, area, tol=1e-10):
                 brackets.append((min(j, j + side), max(j, j + side), j))
     for lo, hi, k in brackets:
         x, v = _brent_min(objective, lo * step, hi * step, k * step, vals[k],
-                          vals[lo % _SCAN], vals[hi % _SCAN], tol)
+                          vals[lo % _SCAN], vals[hi % _SCAN], _PHASE_TOL)
         if v < best[1]:
             best = (x % (2.0 * math.pi), v)
     return best
@@ -184,19 +185,14 @@ def global_phase_distance(f: GaussianSum, g: GaussianSum, grid, p=2.0):
     return alpha % (2.0 * math.pi), val ** (1.0 / p)
 
 
-def measurement_norm_D(
-    field,
-    p,
-    s,
-    k,
-    weight,
-    mask=None,
-):
-    """Measurement-space norm: W^{k,p} norm + L^p norm + weighted s-moment.
+def measurement_norm_D(field, p, s, k, weight):
+    """Measurement-space norm: W^{k,p} norm + L^p norm + weighted s-moment,
+    over the whole grid of the field.
 
     The first two terms are unweighted; the third is
-    ||(|x|+|w|)^s F||_{L^p(Omega, w)} raised to the power p, transcribing the
-    printed definition literally.
+    ||(|x|+|w|)^s F||_{L^p(w)} raised to the power p, transcribing the
+    printed definition literally.  The stability probe takes the same norm
+    over its mask through _measurement_norm_real.
 
     Derivatives (k = 1) use central differences, second-order one-sided at
     the grid boundary; k must be 0 or 1.
@@ -217,7 +213,7 @@ def measurement_norm_D(
             raise ValueError("measurement_norm_D needs a real-valued field; "
                              "this one has a nonzero imaginary part")
         vals = vals.real
-    return _measurement_norm_real(vals, field.grid, p, s, k, field_values(weight), mask)
+    return _measurement_norm_real(vals, field.grid, p, s, k, field_values(weight), None)
 
 
 @functools.lru_cache(maxsize=4)

@@ -317,13 +317,9 @@ def _residual_norms(S, mass, lam, U):
     return res
 
 
-def poincare_estimate(obj) -> float:
-    """1/sqrt(lambda_1): the p=2 weighted Poincare constant of the domain.
-
-    Accepts a WeightedDomain (solves a small spectrum on demand) or an
-    existing SpectralDecomposition.
-    """
-    dec = obj if isinstance(obj, SpectralDecomposition) else solve_spectrum(obj, 2)
+def poincare_estimate(dec: SpectralDecomposition) -> float:
+    """1/sqrt(lambda_1): the p=2 weighted Poincare constant of dec.domain,
+    from the caller's solve (solve_spectrum(domain, 2) is the smallest)."""
     lam1 = dec.eigenvalues[1]
     if lam1 <= 0:
         raise ValueError("degenerate domain: lambda_1 <= 0")
@@ -404,23 +400,22 @@ class VariationReport:
     spectral_upper: float
     paper_ok: bool
     spectral_ok: bool
-    # the two solves behind constant_a and constant_b
-    decomposition_a: SpectralDecomposition = field(repr=False)
-    decomposition_b: SpectralDecomposition = field(repr=False)
 
 
-def variation_bound_check(dA: WeightedDomain, dB: WeightedDomain) -> VariationReport:
-    """Compare Poincare constants of two weights on the same masked grid.
+def variation_bound_check(dec_a: SpectralDecomposition,
+                          dec_b: SpectralDecomposition) -> VariationReport:
+    """Compare the Poincare constants of two solved weights on the same
+    masked grid, dec_a's the base and dec_b's the varied one.
 
     Asserts the two-sided factor-2 bound (A/B)^{1/p}/2 <= C'/C <=
     2 (B/A)^{1/p} and the sharper pencil bound sqrt(A/B) <= C'/C <=
     sqrt(B/A), at p = 2, the only exponent the spectral route computes.
     """
+    dA, dB = dec_a.domain, dec_b.domain
     if dA.grid != dB.grid or not np.array_equal(dA.mask, dB.mask):
         raise ValueError("domains must share grid and mask")
     r = dB.node_weights() / dA.node_weights()
     A, B = float(r.min()), float(r.max())
-    dec_a, dec_b = solve_spectrum(dA, 2), solve_spectrum(dB, 2)
     Ca, Cb = poincare_estimate(dec_a), poincare_estimate(dec_b)
     ratio = Cb / Ca
     paper_lo = (A / B) ** 0.5 / 2.0
@@ -432,6 +427,5 @@ def variation_bound_check(dA: WeightedDomain, dB: WeightedDomain) -> VariationRe
         A, B, Ca, Cb, ratio, paper_lo, paper_hi, spec_lo, spec_hi,
         paper_ok=bool(paper_lo * (1 - tol) <= ratio <= paper_hi * (1 + tol)),
         spectral_ok=bool(spec_lo * (1 - tol) <= ratio <= spec_hi * (1 + tol)),
-        decomposition_a=dec_a, decomposition_b=dec_b,
     )
 

@@ -161,7 +161,7 @@ def test_criterion_04_gaussian_spectral_oracle():
     plateau = []
     for R in (4.0, 5.0):
         n = int(round(2 * R / 0.1)) + 1
-        plateau.append(poincare_estimate(gaussian_disk_domain(n, R, 1e-45)))
+        plateau.append(poincare_estimate(solve_spectrum(gaussian_disk_domain(n, R, 1e-45), 2)))
     drift = abs(plateau[1] - plateau[0]) / plateau[0]
     report(4, drift <= 0.05,
            f"lambda_1 errors {errors[121][0]:.2%} @121^2, {errors[241][0]:.2%} @241^2; "
@@ -174,13 +174,14 @@ def test_criterion_05_variation_lemma():
     dom = gaussian_disk_domain(n, 3.0, floor_rel=1e-14)
     scaled = weighted_domain_from_values(dom.grid, 3.0 * dom.weight, dom.mask,
                                          floor_rel=1e-14)
-    rep_scale = variation_bound_check(dom, scaled)
+    dec = solve_spectrum(dom, 2)
+    rep_scale = variation_bound_check(dec, solve_spectrum(scaled, 2))
     ok = abs(rep_scale.ratio - 1.0) <= 1e-8
 
     a, R, delta = 0.5, 3.0, 0.5
     gamma = 0.9 * gamma_threshold(a, R, delta)
     dom_f = fpm_disk_domain(a, gamma, R, n, floor_rel=1e-14)
-    rep_f = variation_bound_check(dom, dom_f)
+    rep_f = variation_bound_check(dec, solve_spectrum(dom_f, 2))
     envelope = 2.0 * math.sqrt(rep_f.ratio_max / rep_f.ratio_min)
     ok = ok and (1 / 3 <= rep_f.ratio <= 3.0) and rep_f.ratio <= envelope
     ok = ok and rep_f.paper_ok and rep_f.spectral_ok
@@ -261,10 +262,10 @@ def test_criterion_07_instability_narrative():
     # counterexample weight: gamma = 1 degrades the constant by > 10x over
     # the window baseline; gamma = gamma_0 restores it to within 2x
     a, R, n = 1 / 3, 4.5, 121
-    c_phi = poincare_estimate(gaussian_disk_domain(n, R))
-    c_deg = poincare_estimate(fpm_disk_domain(a, 1.0, R, n, 1e-14))
+    c_phi = poincare_estimate(solve_spectrum(gaussian_disk_domain(n, R), 2))
+    c_deg = poincare_estimate(solve_spectrum(fpm_disk_domain(a, 1.0, R, n, 1e-14), 2))
     g0 = gamma_threshold(a, R, 1.0)
-    c_res = poincare_estimate(fpm_disk_domain(a, g0, R, n, 1e-30))
+    c_res = poincare_estimate(solve_spectrum(fpm_disk_domain(a, g0, R, n, 1e-30), 2))
     ok = ok and c_deg > 10.0 * c_phi
     ok = ok and c_res <= 2.0 * c_phi and c_res >= 0.5 * c_phi
     report(7, ok,

@@ -108,12 +108,13 @@ def test_inadmissible_cuts_raise():
     with pytest.raises(InadmissibleCutError):
         cut_ratio(dom, Cut("vertical_line", 10.0))
     with pytest.raises(InadmissibleCutError):
-        cheeger_upper_bound(dom, [])
+        cheeger_upper_bound(dom, [], decomposition=solve_spectrum(dom, 2))
 
 
 def test_best_cut_in_valley_of_counterexample_weight():
     dom = fpm_domain(0.5, 1.0)
-    report = cheeger_upper_bound(dom, vertical_cut_family(-3.0, 3.5, 101))
+    report = cheeger_upper_bound(dom, vertical_cut_family(-3.0, 3.5, 101),
+                                 decomposition=solve_spectrum(dom, 2))
     assert 0.5 < report.best_cut.parameter < 1.5
     assert report.h_upper > 0
     assert report.inverse_h == pytest.approx(1 / report.h_upper, rel=1e-12)
@@ -124,7 +125,8 @@ def test_gaussian_circle_cuts_have_no_neck():
     grid = TFGrid(-R, R, -R, R, n, n)
     dom = build_weighted_domain(gabor_magnitude_field(gaussian(), grid), 2.0,
                                 disk_mask(grid, R), 1e-30)
-    report = cheeger_upper_bound(dom, circle_cut_family(0.3, 3.9, 60))
+    report = cheeger_upper_bound(dom, circle_cut_family(0.3, 3.9, 60),
+                                 decomposition=solve_spectrum(dom, 2))
     assert report.h_upper >= 0.5
     # spectral-Cheeger comparison is recorded, not asserted sharply
     print(f"gaussian: lambda_1 = {report.lambda_1:.3f}, h_upper = {report.h_upper:.3f}, "
@@ -140,7 +142,8 @@ def test_h_upper_monotone_in_gamma():
     cuts = vertical_cut_family(-3.0, 3.5, 101)
     uppers = []
     for gamma in (1.0, 0.1, g0):
-        rep = cheeger_upper_bound(fpm_domain(a, gamma), cuts)
+        dom = fpm_domain(a, gamma)
+        rep = cheeger_upper_bound(dom, cuts, decomposition=solve_spectrum(dom, 2))
         uppers.append(rep.h_upper)
     assert uppers[0] < uppers[1] < uppers[2]
 
@@ -153,6 +156,14 @@ def test_adding_cuts_never_increases_h_upper():
     h1 = cheeger_upper_bound(dom, fam1, decomposition=dec).h_upper
     h2 = cheeger_upper_bound(dom, fam2, decomposition=dec).h_upper
     assert h2 <= h1
+
+
+def test_cheeger_refuses_a_solve_of_another_domain():
+    dom = fpm_domain(0.5, 1.0, n=41)
+    twin = fpm_domain(0.5, 1.0, n=41)
+    cuts = vertical_cut_family(0.0, 2.0, 11)
+    with pytest.raises(ValueError, match="solve of another domain"):
+        cheeger_upper_bound(dom, cuts, decomposition=solve_spectrum(twin, 2))
 
 
 def test_dumbbell_spectral_narrative():
@@ -229,7 +240,8 @@ def test_dumbbell_whose_super_level_set_splits_is_rejected():
 
 def test_chain_ok_recorded():
     dom = fpm_domain(0.5, 1.0, n=61)
-    rep = cheeger_upper_bound(dom, vertical_cut_family(-3.0, 3.5, 41))
+    rep = cheeger_upper_bound(dom, vertical_cut_family(-3.0, 3.5, 41),
+                              decomposition=solve_spectrum(dom, 2))
     assert isinstance(rep.chain_ok, bool)
     assert rep.poincare == pytest.approx(1 / math.sqrt(rep.lambda_1), rel=1e-12)
 

@@ -508,6 +508,11 @@ UNREAD = [
     (["dnorm", "-s", 1e300], None, "moment exponent s=1e+300"),
     (["dnorm", "-s", -2], None, "moment exponent s=-2.0"),
     (["dnorm", "-p", 2, "-s", 330], None, "s=330.0: the D-norm's s-moment is not finite"),
+    # past the work budget, refused before the lattice, grid or cut family exists
+    (["verify", "-a", 1e-5], None, "lines of 401 points (a 1e-05, extent"),
+    (["spectrogram", "--nx", 100000000], None, "a grid of 100000000 x 201 nodes (nx x nw)"),
+    (["cheeger", "--cuts", "circle", "--cut-count", 1000000000], None,
+     "cut_count must be at least 1 and at most 1e+07"),
 ])
 def test_rejected_input_exits_1(tmp_path, capsys, args, config, message):
     if config is not None:

@@ -377,6 +377,36 @@ def test_verify_rectangular_lattice():
         assert passed or rep.max_rel_dev > 0.1
 
 
+def test_lattice_levels_stay_inside_the_extent():
+    import tracemalloc
+
+    # with k_max unset the lines stay within the extent for any offset:
+    # k = -(extent - offset) / a would reach w = -12 at offset -3, -206 at -100
+    for offset in (-3.0, -100.0):
+        lattice = Lattice("horizontal_lines", 0.5, line_extent=6.0, offset=offset)
+        assert np.array_equal(lattice.line_levels(), np.linspace(-6.0, 6.0, 25))
+        assert lattice.n_lines == 25
+    # the index range is found without an array: a huge offset allocates nothing
+    tracemalloc.start()
+    try:
+        lattice = Lattice("horizontal_lines", 0.5, line_extent=6.0, offset=-1e9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16 and lattice.n_lines == 25
+    assert np.array_equal(lattice.line_levels(), np.linspace(-6.0, 6.0, 25))
+
+
+def test_lattice_refuses_too_many_or_unbounded_lines():
+    with pytest.raises(ValueError, match="exceed the work budget"):
+        Lattice("horizontal_lines", 1e-5)
+    # line indices past the double range, or samples at an infinite level
+    for a, extent, offset, k_max in ((1e-300, None, 0.0, None), (0.5, math.inf, 0.0, 3),
+                                     (0.5, None, math.inf, 3), (0.5, None, math.nan, None)):
+        with pytest.raises(ValueError, match=r"\(extent \+ \|offset\|\) / a must be finite"):
+            Lattice("horizontal_lines", a, line_extent=extent, offset=offset, k_max=k_max)
+
+
 def test_lattice_validation():
     with pytest.raises(ValueError):
         Lattice("diagonal", 0.5)

@@ -331,13 +331,16 @@ def test_measurement_norm_grid_refinement_consistency():
     assert abs(vals[1] - vals[0]) / vals[0] <= 0.01
 
 
-def complex_dnorm(field, p, s, k, weight):
+def complex_dnorm(field, p, s, k, weight, mask=None):
     """measurement_norm_D as it was in complex arithmetic, the oracle for the
-    real-valued version: every term of a complex-typed field."""
+    real-valued version: every term of a complex-typed field, over the nodes
+    in mask when one is given."""
     grid, vals = field.grid, field.values.astype(complex)
 
     def cell_lp(arr, w=None):
         integrand = np.abs(arr) ** p if w is None else np.abs(arr) ** p * w
+        if mask is not None:
+            integrand = integrand[mask]
         return float(np.sum(integrand)) * grid.cell_area
 
     lp_pow = cell_lp(vals)
@@ -416,15 +419,20 @@ def test_probe_refuses_a_moment_factor_past_the_double_range(s):
 @pytest.mark.parametrize("p", [1.0, 1.5])
 def test_probe_denominator_is_the_public_norm_of_the_complex_copy(p):
     # the probe hands its real magnitude difference to the norm's real core;
-    # the value is the public norm of that difference as a complex field
+    # over the whole grid the value is the public norm of that difference as
+    # a complex field, and over a disk the complex formula's on that disk
     pair = make_fpm(0.5, 0.1)
     grid = TFGrid(-3, 3, -3, 3, 61, 61)
+    mag = np.abs(gabor_field(pair.plus, grid).values)
+    diff = ComplexField(grid, (mag - np.abs(gabor_field(pair.minus, grid).values))
+                        .astype(complex))
+    rep = stability_probe(pair.plus, pair.minus, np.ones(grid.shape, bool), grid, p, 4.0)
+    assert rep.denominator == measurement_norm_D(diff, p, 4.0, 1, mag**p)
     mask = disk_mask(grid, 2.5)
     rep = stability_probe(pair.plus, pair.minus, mask, grid, p, 4.0)
-    mag = np.abs(gabor_field(pair.plus, grid).values)
-    diff = mag - np.abs(gabor_field(pair.minus, grid).values)
-    assert rep.denominator == measurement_norm_D(
-        ComplexField(grid, diff.astype(complex)), p, 4.0, 1, mag**p, mask=mask)
+    # k = 1 divides by the spacing in real instead of complex arithmetic
+    expect = complex_dnorm(diff, p, 4.0, 1, mag**p, mask)
+    assert abs(rep.denominator - expect) <= 1e-14 * expect
 
 
 def test_probe_trivial_and_validation():
