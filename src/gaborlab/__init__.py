@@ -25,7 +25,6 @@ from .counterexamples import (
     CounterexamplePair,
     Lattice,
     LatticeMismatchError,
-    fpm_magnitude_closed,
     gamma_threshold,
     make_fpm,
     make_gpm,
@@ -37,23 +36,16 @@ from .counterexamples import (
     verify_pair,
 )
 from .gabor import (
-    CRGradientReport,
-    bargmann_derivative,
-    bargmann_eval,
-    bargmann_modulus,
-    cr_gradient_check,
     gabor_eval,
     gabor_evals,
     gabor_field,
     gabor_fields,
     gabor_magnitude_field,
-    gabor_quadrature_oracle,
 )
 from .grid import ComplexField, MagnitudeField, TFGrid, disk_mask
 from .norms import (
     ProbeReport,
     global_phase_distance,
-    lp_field_norm,
     measurement_norm_D,
     stability_probe,
 )
@@ -61,7 +53,6 @@ from .signals import (
     GaussianAtom,
     GaussianSum,
     gaussian,
-    signal_inner,
     signal_norm,
     signal_phase_distance,
 )
@@ -74,7 +65,6 @@ from .spectral import (
     assemble_operators,
     build_weighted_domain,
     poincare_estimate,
-    rayleigh,
     refinement_check,
     solve_spectrum,
     variation_bound_check,

@@ -129,12 +129,17 @@ def _circle_side_masses(domain: WeightedDomain, r):
     return float(t.inner[k]) * t.area, float(t.outer[k]) * t.area
 
 
+def circle_point_count(r, dx, dw):
+    """The angles that the circle of radius r samples on a grid of spacings dx, dw."""
+    return max(512, int(8.0 * 2.0 * math.pi * r / min(dx, dw)))
+
+
 def _circle_boundary_integral(domain: WeightedDomain, r):
     """Equal-angle sum of the bilinearly interpolated weight along the circle
     of radius r, over the points whose grid cell lies in Omega."""
     t = _cut_table(domain)
     xs, ws = t.xs, t.ws
-    n_theta = max(512, int(8.0 * 2.0 * math.pi * r / min(t.dx, t.dw)))
+    n_theta = circle_point_count(r, t.dx, t.dw)
     # the same bits as np.linspace(0, 2 pi, n_theta, endpoint=False)
     theta = np.arange(n_theta) * (2.0 * math.pi / n_theta)
     x = r * np.cos(theta)
@@ -190,6 +195,8 @@ def cheeger_upper_bound(domain: WeightedDomain, family, chain_slack=10.0, *,
     """
     if decomposition.domain is not domain:
         raise ValueError("decomposition is a solve of another domain")
+    if not 0 < chain_slack < math.inf:  # NaN fails too
+        raise ValueError(f"chain_slack must be positive and finite, got {chain_slack!r}")
     best = None
     for cut in family:
         try:

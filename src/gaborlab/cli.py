@@ -22,6 +22,7 @@ from . import io
 from .cheeger import (
     cheeger_upper_bound,
     circle_cut_family,
+    circle_point_count,
     dumbbell_weight,
     vertical_cut_family,
 )
@@ -400,15 +401,21 @@ def cmd_cheeger(cfg):
     if not 1 <= cfg["cut_count"] <= WORK_BUDGET:
         raise ValueError(f"cut_count must be at least 1 and at most {WORK_BUDGET:.0e}")
     domain = _build_domain(cfg)
-    grid = domain.grid
+    grid, count = domain.grid, cfg["cut_count"]
+    rmax = min(grid.x_max, grid.w_max)
+    r_lo, r_hi = rmax / count, rmax * 0.98
+    # a vertical cut samples a column of nodes, a circle its angles (the largest most)
+    points = grid.nw if cfg["cuts"] == "vertical" else circle_point_count(
+        max(r_lo, r_hi), grid.dx, grid.dw)
+    if count * points > WORK_BUDGET:
+        raise ValueError(f"{count} cuts (cut_count) of up to {points} points exceed the"
+                         f" work budget of {WORK_BUDGET:.0e} points")
     if cfg["cuts"] == "vertical":
         lo = cfg["cut_lo"] if cfg["cut_lo"] is not None else grid.x_min + grid.dx
         hi = cfg["cut_hi"] if cfg["cut_hi"] is not None else grid.x_max - grid.dx
-        family = vertical_cut_family(lo, hi, cfg["cut_count"])
+        family = vertical_cut_family(lo, hi, count)
     else:
-        rmax = min(grid.x_max, grid.w_max)
-        family = circle_cut_family(rmax / cfg["cut_count"], rmax * 0.98,
-                                   cfg["cut_count"])
+        family = circle_cut_family(r_lo, r_hi, count)
     dec = solve_spectrum(domain, 2)
     report = cheeger_upper_bound(domain, family, chain_slack=cfg["chain_slack"],
                                  decomposition=dec)

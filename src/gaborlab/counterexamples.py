@@ -21,9 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gabor import _LOG_HUGE, gabor_evals
+from .gabor import gabor_evals
 from .grid import WORK_BUDGET, MagnitudeField, TFGrid
 from .signals import GaussianSum, phase_equivalent, signal_phase_distance
+
+_LOG_HUGE = math.log(np.finfo(float).max)
 
 LATTICE_KINDS = ("horizontal_lines", "vertical_lines", "rectangular")
 
@@ -139,8 +141,8 @@ def _rotation(theta):
 
 def make_hpm(a, theta=0.0) -> CounterexamplePair:
     """h_pm = phi (cosh(pi t/a) +- i sinh(pi t/a)) as exact two-atom sums."""
-    if a <= 0:
-        raise ValueError("a must be positive")
+    if not 0 < a < math.inf:
+        raise ValueError(f"a must be positive and finite, got {a!r}")
     exponent = math.pi / (4.0 * a * a)
     if exponent > 0.99 * _LOG_HUGE:
         raise ValueError("a too small: the exact-atom coefficient e^{pi/(4a^2)} "
@@ -154,8 +156,8 @@ def make_hpm(a, theta=0.0) -> CounterexamplePair:
 
 def make_fpm(a, gamma, theta=0.0) -> CounterexamplePair:
     """f_pm = phi +- i gamma T_{1/a} phi."""
-    if a <= 0 or gamma <= 0:
-        raise ValueError("a and gamma must be positive")
+    if not (0 < a < math.inf and 0 < gamma < math.inf):  # NaN fails both tests
+        raise ValueError(f"a and gamma must be positive and finite: a {a!r}, gamma {gamma!r}")
     plus = GaussianSum([(1.0, 0.0, 0.0), (1j * gamma, 1.0 / a, 0.0)])
     minus = GaussianSum([(1.0, 0.0, 0.0), (-1j * gamma, 1.0 / a, 0.0)])
     return _checked_pair(plus, minus, "fpm", a, gamma, theta)
@@ -163,8 +165,8 @@ def make_fpm(a, gamma, theta=0.0) -> CounterexamplePair:
 
 def make_gpm(a, gamma, theta=0.0) -> CounterexamplePair:
     """g_pm = phi +- i gamma M_{1/a} phi -+ i gamma M_{-1/a} phi (real-valued)."""
-    if a <= 0 or gamma <= 0:
-        raise ValueError("a and gamma must be positive")
+    if not (0 < a < math.inf and 0 < gamma < math.inf):  # NaN fails both tests
+        raise ValueError(f"a and gamma must be positive and finite: a {a!r}, gamma {gamma!r}")
     plus = GaussianSum(
         [(1.0, 0.0, 0.0), (1j * gamma, 0.0, 1.0 / a), (-1j * gamma, 0.0, -1.0 / a)]
     )
@@ -186,29 +188,6 @@ def _checked_pair(plus, minus, kind, a, gamma, theta):
 # ---------------------------------------------------------------------------
 
 
-def fpm_magnitude_closed(a, gamma, sign, x, w):
-    """|G f_pm|(x, w) = e^{-pi(x^2+w^2)/2} |1 +- i gamma e^{(pi/a)(x - i w)}
-    e^{-pi/(2a^2)}|, evaluated in log-magnitude form so large x/a cannot
-    overflow."""
-    if a <= 0 or gamma <= 0:
-        raise ValueError("a and gamma must be positive")
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    x = np.asarray(x, dtype=float)
-    w = np.asarray(w, dtype=float)
-    # second term = exp(L + i theta); factor out max(L, 0) so the bracket
-    # |1 + e^{L + i theta}| = e^{max(L,0)} |1 + e^{-|L| + i theta}| never
-    # overflows (conjugation leaves the modulus unchanged)
-    L = math.log(gamma) + (np.pi / a) * x - math.pi / (2.0 * a * a)
-    theta = sign * (np.pi / 2.0) - (np.pi / a) * w
-    inner = np.abs(1.0 + np.exp(-np.abs(L) + 1j * theta))
-    log_env = -np.pi * (x * x + w * w) / 2.0 + np.maximum(L, 0.0)
-    with np.errstate(divide="ignore"):
-        out = np.where(inner == 0.0, 0.0, np.exp(log_env + np.log(
-            np.where(inner == 0.0, 1.0, inner))))
-    return out if out.shape else float(out)
-
-
 def root_set_fpm(a, gamma, sign, k_min, k_max, theta=0.0):
     """Exact roots of G f_sign: x = 1/(2a) - a ln(gamma)/pi on the branch
     omega = -sign*a/2 + 2ak, k in [k_min, k_max]; rotated by theta if given.
@@ -216,8 +195,8 @@ def root_set_fpm(a, gamma, sign, k_min, k_max, theta=0.0):
     The magnitude formula pins the branch: the +pi/2 phase of +i gamma needs
     omega = -a/2 (mod 2a) to meet -1, so f_plus vanishes on the -a/2 branch.
     """
-    if a <= 0 or gamma <= 0:
-        raise ValueError("a and gamma must be positive")
+    if not (0 < a < math.inf and 0 < gamma < math.inf):  # NaN fails both tests
+        raise ValueError(f"a and gamma must be positive and finite: a {a!r}, gamma {gamma!r}")
     if k_min > k_max:
         raise ValueError("k_min must not exceed k_max")
     x_root = 1.0 / (2.0 * a) - a * math.log(gamma) / math.pi

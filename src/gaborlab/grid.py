@@ -6,9 +6,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# the most grid nodes, lattice points or cuts one computation may ask for,
-# checked before anything of that size is allocated
+# the most grid nodes, lattice points, cuts or points along cuts one
+# computation may ask for, checked before anything of that size is allocated
 WORK_BUDGET = 10**7
+# the largest |coordinate| of a grid extent or an atom: every square stays finite
+COORD_BOUND = 1e150
 
 
 @dataclass(frozen=True)
@@ -33,6 +35,10 @@ class TFGrid:
         if self.nx * self.nw > WORK_BUDGET:
             raise ValueError(f"a grid of {self.nx} x {self.nw} nodes (nx x nw) exceeds"
                              f" the work budget of {WORK_BUDGET:.0e} nodes")
+        for name in ("x_min", "x_max", "w_min", "w_max"):  # NaN fails the test too
+            if not abs(getattr(self, name)) <= COORD_BOUND:
+                raise ValueError(f"grid extent {name} {getattr(self, name)!r} is not"
+                                 f" within ±{COORD_BOUND:.0e}")
         # also rejects bounds so close that the node spacing underflows and
         # nodes repeat
         for nodes in (self.x_nodes(), self.w_nodes()):
@@ -68,15 +74,6 @@ class TFGrid:
     def mesh(self):
         """(X, W) arrays of shape (nx, nw); omega varies fastest in memory."""
         return np.meshgrid(self.x_nodes(), self.w_nodes(), indexing="ij")
-
-    @staticmethod
-    def cell_centered(x0, x1, w0, w1, nx, nw):
-        """Grid whose nodes are the cell midpoints of an exact tiling of
-        [x0, x1] x [w0, w1]; useful when the quadrature cells must cover a
-        prescribed rectangle exactly (e.g. unit-square oracles)."""
-        dx = (x1 - x0) / nx
-        dw = (w1 - w0) / nw
-        return TFGrid(x0 + dx / 2, x1 - dx / 2, w0 + dw / 2, w1 - dw / 2, nx, nw)
 
 
 def _check_values(grid, values, dtype):

@@ -19,7 +19,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .grid import MagnitudeField, TFGrid, field_values
+from .grid import field_values
 
 TOOL_NAME = "gaborlab"
 PGM_DECADES = 6.0
@@ -56,32 +56,6 @@ def field_csv_text(field) -> str:
 
 def write_field_csv(path, field):
     atomic_write_text(path, field_csv_text(field))
-
-
-def read_field_csv(path):
-    """Reconstruct a MagnitudeField from the CSV written by write_field_csv."""
-    xs, ws, vs = [], [], []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "x,omega,value":
-            raise ValueError(f"unexpected CSV header {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            a, b, c = line.split(",")
-            xs.append(float(a))
-            ws.append(float(b))
-            vs.append(float(c))
-    xs = np.array(xs)
-    ws = np.array(ws)
-    vs = np.array(vs)
-    nw = 1
-    while nw < len(xs) and xs[nw] == xs[0]:
-        nw += 1
-    nx = len(xs) // nw
-    grid = TFGrid(xs[0], xs[-1], ws[0], ws[nw - 1], nx, nw)
-    return MagnitudeField(grid, vs.reshape(nx, nw))
 
 
 def pgm_text(field) -> str:

@@ -33,26 +33,6 @@ def _cell_lp(vals, p, area, weight=None, mask=None):
     return float(np.sum(integrand)) * area
 
 
-def lp_field_norm(field, p, weight=None, mask=None):
-    """(sum_i |F_i|^p w_i dx dw)^(1/p) over unmasked nodes.
-
-    weight and mask must live on the same grid as the field when given as
-    field objects.  p >= 1.
-    """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    grid = field.grid
-    if weight is not None:
-        if hasattr(weight, "grid"):
-            require_same_grid(field, weight)
-        weight = field_values(weight)
-        if weight.shape != grid.shape:
-            raise ValueError("weight shape does not match the grid")
-    if mask is not None and np.shape(mask) != grid.shape:
-        raise ValueError("mask shape does not match the grid")
-    return _cell_lp(field.values, p, grid.cell_area, weight, mask) ** (1.0 / p)
-
-
 def _brent_min(fn, lo, hi, x, fx, flo, fhi, tol):
     """Brent's bounded minimizer of fn on [lo, hi] from the point x in it
     with value fx, where the bracket's ends have the known values flo and

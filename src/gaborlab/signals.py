@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-GAUSSIAN_PEAK = 2.0 ** 0.25
+from .grid import COORD_BOUND
 
 
 @dataclass(frozen=True)
@@ -26,8 +26,10 @@ class GaussianAtom:
     modulation: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.shift) and math.isfinite(self.modulation)):
-            raise ValueError("atom shift/modulation must be finite")
+        for name in ("shift", "modulation"):  # NaN fails the test too
+            if not abs(getattr(self, name)) <= COORD_BOUND:
+                raise ValueError(f"atom {name} {getattr(self, name)!r} is not within"
+                                 f" ±{COORD_BOUND:.0e}")
         if self.coeff == 0:
             raise ValueError("zero-coefficient atoms are not representable")
 
@@ -113,20 +115,6 @@ class GaussianSum:
             for a in self.atoms
         )
 
-    # -- pointwise evaluation ----------------------------------------------
-    def evaluate(self, t):
-        """Time-domain values sum_j c_j e^{2 pi i b_j t} phi(t - u_j)."""
-        t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape, dtype=complex)
-        for a in self.atoms:
-            out += (
-                a.coeff
-                * np.exp(2j * np.pi * a.modulation * t)
-                * GAUSSIAN_PEAK
-                * np.exp(-np.pi * (t - a.shift) ** 2)
-            )
-        return out if out.shape else complex(out)
-
 
 def gaussian(coeff=1.0, shift=0.0, modulation=0.0):
     """Single-atom signal coeff * M_b T_u phi; default is phi itself."""
@@ -164,14 +152,6 @@ def _gram(f: GaussianSum, g: GaussianSum):
             total += np.conj(c1) * c2 * atom_inner(af.shift, af.modulation,
                                                    ag.shift, ag.modulation)
     return complex(total), ef + eg
-
-
-def signal_inner(f: GaussianSum, g: GaussianSum) -> complex:
-    """L2 inner product <f, g>, conjugate-linear in f, exact via atom overlaps.
-
-    Raises OverflowError where |<f, g>| exceeds the double range."""
-    s, e = _gram(f, g)
-    return complex(math.ldexp(s.real, e), math.ldexp(s.imag, e))
 
 
 def signal_norm(f: GaussianSum) -> float:

@@ -75,9 +75,6 @@ class WeightedDomain:
     def node_weights(self):
         return self.weight[self.mask]
 
-    def masses(self):
-        return self.node_weights() * self.grid.cell_area
-
     def operators(self):
         if self._ops is None:
             self._ops = assemble_operators(self)
@@ -324,21 +321,6 @@ def poincare_estimate(dec: SpectralDecomposition) -> float:
     if lam1 <= 0:
         raise ValueError("degenerate domain: lambda_1 <= 0")
     return 1.0 / math.sqrt(lam1)
-
-
-def rayleigh(domain: WeightedDomain, h) -> float:
-    """Mean-free Rayleigh quotient (h^T S h) / min_c ||h - c||_mu^2; >= lambda_1."""
-    S, mass = domain.operators()
-    h = np.asarray(h, dtype=float)
-    if h.shape == domain.grid.shape:
-        h = h[domain.mask]
-    c = float((mass * h).sum() / mass.sum())
-    centered = h - c
-    denom = float(centered @ (mass * centered))
-    scale = float(h @ (mass * h))
-    if denom <= 1e-28 * max(scale, 1.0):
-        raise ValueError("field is mu-a.e. constant")
-    return float(h @ (S @ h)) / denom
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ from gaborlab.cheeger import _vertical_side_masses
 from gaborlab.cli import main
 from gaborlab.counterexamples import (
     Lattice,
-    fpm_magnitude_closed,
     gamma_threshold,
     make_fpm,
     make_gpm,
@@ -28,13 +27,7 @@ from gaborlab.counterexamples import (
     root_set_fpm,
     verify_pair,
 )
-from gaborlab.gabor import (
-    bargmann_eval,
-    cr_gradient_check,
-    gabor_eval,
-    gabor_magnitude_field,
-    gabor_quadrature_oracle,
-)
+from gaborlab.gabor import gabor_eval, gabor_magnitude_field
 from gaborlab.grid import TFGrid, disk_mask
 from gaborlab.signals import GaussianSum, gaussian
 from gaborlab.spectral import (
@@ -45,6 +38,14 @@ from gaborlab.spectral import (
     solve_spectrum,
     variation_bound_check,
     weighted_domain_from_values,
+)
+
+from oracles import (
+    bargmann_eval,
+    cr_gradient_check,
+    fpm_magnitude_closed,
+    gabor_quadrature_oracle,
+    node_masses,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -250,7 +251,7 @@ def test_criterion_07_instability_narrative():
     u1 = dec.eigenvectors[:, 1]
     X, W = grid.mesh()
     xs, ws = X[dom.mask], W[dom.mask]
-    masses = dom.masses()
+    masses = node_masses(dom)
     sign_fracs = []
     for cx in (-1.5, 1.5):
         bump = (xs - cx) ** 2 + ws**2 <= 0.7**2

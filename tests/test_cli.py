@@ -1,4 +1,5 @@
 import argparse
+import ast
 import hashlib
 import itertools
 import json
@@ -13,10 +14,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gaborlab
 from gaborlab.cli import _CHOICES, _COMMANDS, _KINDS, _resolve, build_parser, main
 from gaborlab.counterexamples import AGREEMENT
-from gaborlab.io import read_field_csv
 from gaborlab.spectral import RESIDUAL_CONTRACT, SolverConvergenceError
+
+from oracles import read_field_csv
 
 
 def run(args):
@@ -410,6 +413,11 @@ def test_cheeger_command(tmp_path):
     assert rep["payload"]["h_upper"] > 0
 
 
+def test_probe_takes_atoms_far_inside_the_coordinate_bound(tmp_path):
+    # fpm's second atom sits at 1/a = 1e100, whose square is finite
+    assert run(["probe", "-a", 1e-100, "-n", 21, "--out-dir", tmp_path]) == 0
+
+
 def test_probe_and_dnorm_commands(tmp_path):
     assert run(["probe", "--kind", "fpm", "-a", 0.5, "-n", 61,
                 "--out-dir", tmp_path]) == 0
@@ -513,6 +521,24 @@ UNREAD = [
     (["spectrogram", "--nx", 100000000], None, "a grid of 100000000 x 201 nodes (nx x nw)"),
     (["cheeger", "--cuts", "circle", "--cut-count", 1000000000], None,
      "cut_count must be at least 1 and at most 1e+07"),
+    # the budget counts the points the cuts sample: at least 512 per circle
+    (["cheeger", "--cuts", "circle", "--cut-count", 10000000, "-n", 21], None,
+     "10000000 cuts (cut_count) of up to 512 points exceed the work budget of 1e+07"),
+    # a NaN or infinite pair parameter or chain slack is refused, not computed with
+    (["verify", "--gamma", "nan"], None, "a and gamma must be positive and finite"),
+    (["verify", "--gamma", "inf"], None, "a and gamma must be positive and finite"),
+    (["verify", "--kind", "gpm", "--gamma", "nan"], None,
+     "a and gamma must be positive and finite"),
+    (["roots", "--gamma", "nan"], None, "a and gamma must be positive and finite"),
+    (["verify", "--kind", "hpm", "-a", "nan"], None, "a must be positive and finite"),
+    (["cheeger", "--chain-slack", "nan"], None, "chain_slack must be positive and finite"),
+    (["cheeger", "--chain-slack", -1], None, "chain_slack must be positive and finite"),
+    (["cheeger", "--chain-slack", 0], None, "chain_slack must be positive and finite"),
+    # time-frequency coordinates past 1e150 would overflow their squares
+    (["probe", "-R", 1e300], None, "grid extent x_min -1e+300 is not within ±1e+150"),
+    (["probe", "-R", 1e160], None, "grid extent x_min -1e+160 is not within ±1e+150"),
+    (["probe", "-a", 1e-200], None, "atom shift 1e+200 is not within ±1e+150"),
+    (["probe", "-a", 1e-300], None, "atom shift 9.999999999999999e+299 is not within"),
 ])
 def test_rejected_input_exits_1(tmp_path, capsys, args, config, message):
     if config is not None:
@@ -707,3 +733,32 @@ def test_default_csv_and_pgm_bytes_match_the_benchmark_digests(tmp_path):
         written.update((p.name, hashlib.sha256(p.read_bytes()).hexdigest())
                        for p in out.iterdir() if p.suffix != ".json")
     assert written == recorded
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    # each name that gaborlab exports is read by another package module or a
+    # benchmark workload; what only the tests read lives in tests/oracles.py
+    root = Path(__file__).resolve().parents[1]
+    modules = sorted((root / "src" / "gaborlab").glob("*.py"))
+    trees = {path: ast.parse(path.read_text())
+             for path in [*modules, *sorted((root / "perfbench").glob("*.py"))]}
+    defined = {}
+    for path in modules:
+        for node in trees[path].body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[node.name] = (path, node)
+            elif isinstance(node, ast.Assign):
+                defined.update((t.id, (path, node)) for t in node.targets
+                               if isinstance(t, ast.Name))
+    init = root / "src" / "gaborlab" / "__init__.py"
+
+    def read_outside_its_definition(name):
+        own = set(ast.walk(defined[name][1]))
+        return any(node not in own and name in (getattr(node, "id", None),
+                                                getattr(node, "attr", None))
+                   for path, tree in trees.items() if path != init
+                   for node in ast.walk(tree))
+
+    exports = [name for name in vars(gaborlab) if name in defined]
+    assert len(exports) > 40
+    assert [name for name in exports if not read_outside_its_definition(name)] == []

@@ -8,19 +8,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gaborlab.counterexamples import make_hpm
-from gaborlab.gabor import (
+from gaborlab.gabor import gabor_eval, gabor_evals, gabor_field, gabor_fields
+from gaborlab.grid import TFGrid
+from gaborlab.signals import GaussianSum, gaussian
+
+from oracles import (
     bargmann_derivative,
     bargmann_eval,
     bargmann_modulus,
     cr_gradient_check,
-    gabor_eval,
-    gabor_evals,
-    gabor_field,
-    gabor_fields,
     gabor_quadrature_oracle,
 )
-from gaborlab.grid import TFGrid
-from gaborlab.signals import GaussianSum, gaussian
 
 
 def random_sum(rng, max_atoms=5):

@@ -6,7 +6,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gaborlab.grid import ComplexField, MagnitudeField, TFGrid
-from gaborlab.io import field_csv_text, read_field_csv, write_field_csv, write_report
+from gaborlab.io import field_csv_text, write_field_csv, write_report
+
+from oracles import read_field_csv
 
 # zero, the smallest subnormal, a larger subnormal, 1e16 and negative nodes
 NODE_ENDPOINTS = st.sampled_from(

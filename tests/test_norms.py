@@ -13,12 +13,13 @@ from gaborlab import norms
 from gaborlab.norms import (
     _aligned_phase_min,
     global_phase_distance,
-    lp_field_norm,
     measurement_norm_D,
     stability_probe,
 )
 from gaborlab.counterexamples import gamma_threshold, make_fpm, make_gpm, make_hpm
 from gaborlab.signals import GaussianSum, gaussian, signal_norm
+
+from oracles import cell_centered, lp_field_norm
 
 
 def test_ball_complement_mass():
@@ -314,7 +315,7 @@ def test_measurement_norm_constant_field_bookkeeping():
 def test_measurement_norm_linear_moment_is_exact():
     # midpoint quadrature integrates the linear moment (|x|+|w|) exactly on
     # a cell-centered grid: int_{[0,1]^2} (x+w) = 1, so the norm is 1+1+1
-    grid = TFGrid.cell_centered(0.0, 1.0, 0.0, 1.0, 16, 16)
+    grid = cell_centered(0.0, 1.0, 0.0, 1.0, 16, 16)
     ones = ComplexField(grid, np.ones(grid.shape, dtype=complex))
     val = measurement_norm_D(ones, 1.0, 1.0, 0, np.ones(grid.shape))
     assert val == pytest.approx(3.0, rel=1e-13)

@@ -5,15 +5,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gaborlab.grid import COORD_BOUND, TFGrid
 from gaborlab.signals import (
     GaussianAtom,
     GaussianSum,
     gaussian,
     phase_equivalent,
-    signal_inner,
     signal_norm,
     signal_phase_distance,
 )
+
+from oracles import evaluate, signal_inner
 
 
 def test_atom_rejects_zero_coeff_and_nonfinite():
@@ -23,6 +25,17 @@ def test_atom_rejects_zero_coeff_and_nonfinite():
         GaussianAtom(1.0, math.inf, 0.0)
     with pytest.raises(ValueError):
         GaussianAtom(1.0, 0.0, math.nan)
+
+
+def test_atom_positions_and_grid_extents_stay_within_the_coordinate_bound():
+    # every square of a coordinate up to the bound is finite
+    GaussianAtom(1.0, COORD_BOUND, -COORD_BOUND)
+    TFGrid(-COORD_BOUND, COORD_BOUND, -COORD_BOUND, COORD_BOUND, 2, 2)
+    for bad in (math.nextafter(COORD_BOUND, math.inf), -math.inf, math.nan):
+        with pytest.raises(ValueError, match="atom modulation"):
+            GaussianAtom(1.0, 0.0, bad)
+        with pytest.raises(ValueError, match="grid extent w_min"):
+            TFGrid(-1.0, 1.0, bad, 1.0, 2, 2)
 
 
 def test_duplicate_atoms_merge_and_cancel():
@@ -35,8 +48,8 @@ def test_duplicate_atoms_merge_and_cancel():
 
 
 def test_zero_signal_evaluates_to_zero():
-    assert GaussianSum().evaluate(0.3) == 0
-    assert np.all(GaussianSum().evaluate(np.linspace(-1, 1, 5)) == 0)
+    assert evaluate(GaussianSum(), 0.3) == 0
+    assert np.all(evaluate(GaussianSum(), np.linspace(-1, 1, 5)) == 0)
 
 
 def test_inner_product_matches_quadrature():
@@ -51,7 +64,7 @@ def test_inner_product_matches_quadrature():
             (rng.normal() + 1j * rng.normal(), rng.uniform(-2, 2), rng.uniform(-2, 2))
             for _ in range(2)
         )
-        quad = np.trapezoid(np.conj(f.evaluate(t)) * g.evaluate(t), dx=1e-3)
+        quad = np.trapezoid(np.conj(evaluate(f, t)) * evaluate(g, t), dx=1e-3)
         assert abs(signal_inner(f, g) - quad) < 1e-9
 
 
@@ -86,7 +99,7 @@ def test_translation_moves_atoms():
     f = gaussian().translated(1.5)
     assert f.atoms[0].shift == 1.5
     t = np.linspace(-2, 2, 9)
-    assert np.allclose(f.evaluate(t), gaussian().evaluate(t - 1.5))
+    assert np.allclose(evaluate(f, t), evaluate(gaussian(), t - 1.5))
 
 
 # ---------------------------------------------------------------------------
