@@ -5,7 +5,9 @@ A cut splits the domain into D and its complement; its ratio is the
 by the cell-quadrature mass of the lighter side (which automatically obeys
 the half-mass constraint).  The minimum over a cut family upper-bounds the
 Cheeger constant; the cut family is restricted to vertical lines and
-origin-centered circles, which separate every geometry treated here.
+origin-centered circles.  Cheeger's inequality lambda_1 >= h^2 / 4 bounds
+the constant itself by 2 sqrt(lambda_1), so a family whose best ratio
+exceeds that bound has missed the domain's bottleneck.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .spectral import (
     DEFAULT_FLOOR_REL,
     SpectralDecomposition,
     WeightedDomain,
-    poincare_estimate,
     weighted_domain_from_values,
 )
 
@@ -50,10 +51,8 @@ class CheegerReport:
     best_cut: Cut
     h_upper: float
     lambda_1: float
-    inverse_h: float
-    poincare: float
-    chain_ok: bool
-    chain_slack: float
+    cheeger_bound: float  # 2 sqrt(lambda_1), by Cheeger's inequality
+    within_cheeger_bound: bool  # h_upper <= cheeger_bound
 
 
 class _CutTable:
@@ -183,21 +182,20 @@ def cut_ratio(domain: WeightedDomain, cut: Cut) -> float:
     return boundary / side
 
 
-def cheeger_upper_bound(domain: WeightedDomain, family, chain_slack=10.0, *,
+def cheeger_upper_bound(domain: WeightedDomain, family, *,
                         decomposition: SpectralDecomposition) -> CheegerReport:
-    """Best (smallest) cut ratio over the family, plus the spectral chain.
+    """Best (smallest) cut ratio over the family, against Cheeger's inequality.
 
     As in cut_ratio, the domain weight is already the measure density.
     decomposition is the caller's solve of this domain's pencil, which
-    gives lambda_1 and the Poincare estimate; a solve of another domain is
-    refused.  chain_ok records whether the Poincare estimate is at most
-    chain_slack / h_upper; the hidden constants of the chain are not
-    claimed, only recorded against the configured slack.
+    gives lambda_1; a solve of another domain is refused.  The Cheeger
+    constant h obeys lambda_1 >= h^2 / 4 (Cheeger 1970), so h <= 2
+    sqrt(lambda_1): within_cheeger_bound is false when the family's best
+    ratio exceeds that bound, that is, when no cut of the family comes
+    near the bottleneck.
     """
     if decomposition.domain is not domain:
         raise ValueError("decomposition is a solve of another domain")
-    if not 0 < chain_slack < math.inf:  # NaN fails too
-        raise ValueError(f"chain_slack must be positive and finite, got {chain_slack!r}")
     best = None
     for cut in family:
         try:
@@ -209,16 +207,13 @@ def cheeger_upper_bound(domain: WeightedDomain, family, chain_slack=10.0, *,
     if best is None:
         raise InadmissibleCutError("no admissible cut in the family")
     lam1 = float(decomposition.eigenvalues[1])
-    poinc = poincare_estimate(decomposition)
-    inverse_h = 1.0 / best[1]
+    bound = 2.0 * math.sqrt(lam1)
     return CheegerReport(
         best_cut=best[0],
         h_upper=best[1],
         lambda_1=lam1,
-        inverse_h=inverse_h,
-        poincare=poinc,
-        chain_ok=bool(poinc <= chain_slack * inverse_h),
-        chain_slack=chain_slack,
+        cheeger_bound=bound,
+        within_cheeger_bound=bool(best[1] <= bound),
     )
 
 

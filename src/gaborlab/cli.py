@@ -235,7 +235,7 @@ def cmd_threshold(cfg):
     thr = gamma_threshold(a, R, cfg["delta"])
     gamma0 = gamma_0(a, R)
     print(f"gamma_0 = {gamma0!r}, threshold = {thr!r}")
-    return 0, {"gamma_0": gamma0, "threshold": thr, "delta": cfg["delta"]}, None
+    return 0, {"gamma_0": gamma0, "threshold": thr}, None
 
 
 _FIGURE2_DEFAULTS = dict(
@@ -379,14 +379,13 @@ def cmd_refine(cfg):
         h = rng.standard_normal(domain.n_nodes)
         rep = refinement_check(dec, h, cfg["k"])
         slacks.append(rep.slack / max(rep.lhs, 1e-300))
-    payload = {"k": cfg["k"], "n_fields": cfg["n_fields"],
-               "min_relative_slack": float(min(slacks)), "eigenvalues": dec.eigenvalues}
+    payload = {"min_relative_slack": float(min(slacks)), "eigenvalues": dec.eigenvalues}
     return (0 if min(slacks) >= -1e-9 else 4), payload, _provenance(domain, dec)
 
 
 _CHEEGER_DEFAULTS = dict(
     _DOMAIN_DEFAULTS, cuts="vertical", cut_lo=None, cut_hi=None, cut_count=101,
-    chain_slack=10.0, out_dir=".",
+    out_dir=".",
 )
 
 
@@ -410,8 +409,7 @@ def cmd_cheeger(cfg):
     else:
         family = circle_cut_family(r_lo, r_hi, count)
     dec = solve_spectrum(domain, 2)
-    report = cheeger_upper_bound(domain, family, chain_slack=cfg["chain_slack"],
-                                 decomposition=dec)
+    report = cheeger_upper_bound(domain, family, decomposition=dec)
     return 0, dataclasses.asdict(report), _provenance(domain, dec)
 
 

@@ -21,7 +21,7 @@ from gaborlab.cheeger import (
     _vertical_boundary_integral,
     _vertical_side_masses,
 )
-from gaborlab.counterexamples import gamma_threshold, make_fpm
+from gaborlab.counterexamples import gamma_threshold, make_fpm, make_gpm
 from gaborlab.gabor import gabor_magnitude_field
 from gaborlab.grid import TFGrid, disk_mask
 from gaborlab.signals import gaussian
@@ -119,7 +119,6 @@ def test_best_cut_in_valley_of_counterexample_weight():
                                  decomposition=solve_spectrum(dom, 2))
     assert 0.5 < report.best_cut.parameter < 1.5
     assert report.h_upper > 0
-    assert report.inverse_h == pytest.approx(1 / report.h_upper, rel=1e-12)
 
 
 def test_gaussian_circle_cuts_have_no_neck():
@@ -240,12 +239,20 @@ def test_dumbbell_whose_super_level_set_splits_is_rejected():
     assert dumbbell_weight(6.0, 1e-15, 0.35, grid, floor_rel=1e-16).mask[:, 20].all()
 
 
-def test_chain_ok_recorded():
-    dom = fpm_domain(0.5, 1.0, n=61)
-    rep = cheeger_upper_bound(dom, vertical_cut_family(-3.0, 3.5, 41),
-                              decomposition=solve_spectrum(dom, 2))
-    assert isinstance(rep.chain_ok, bool)
-    assert rep.poincare == pytest.approx(1 / math.sqrt(rep.lambda_1), rel=1e-12)
+def test_within_cheeger_bound_recorded():
+    # Cheeger's inequality lambda_1 >= h^2 / 4 bounds the constant by
+    # 2 sqrt(lambda_1). A vertical line through the fpm valley meets that
+    # bound; the gpm bumps sit at omega = 0 and +-1/a, which no vertical
+    # line separates, so the family's best ratio exceeds it
+    grid = TFGrid(-4.0, 4.0, -4.0, 4.0, 61, 61)
+    gpm = build_weighted_domain(gabor_magnitude_field(make_gpm(0.5, 1.0).plus, grid),
+                                2.0, disk_mask(grid, 4.0), 1e-14)
+    for dom, within in ((fpm_domain(0.5, 1.0, n=61), True), (gpm, False)):
+        rep = cheeger_upper_bound(dom, vertical_cut_family(-3.0, 3.5, 41),
+                                  decomposition=solve_spectrum(dom, 2))
+        assert rep.cheeger_bound == 2.0 * math.sqrt(rep.lambda_1)
+        assert rep.within_cheeger_bound is (rep.h_upper <= rep.cheeger_bound)
+        assert rep.within_cheeger_bound is within
 
 
 # ---------------------------------------------------------------------------

@@ -526,16 +526,19 @@ UNREAD = [
     # the budget counts the points the cuts sample: at least 512 per circle
     (["cheeger", "--cuts", "circle", "--cut-count", 10000000, "-n", 21], None,
      "10000000 cuts (cut_count) of up to 512 points exceed the work budget of 1e+07"),
-    # a NaN or infinite pair parameter or chain slack is refused, not computed with
+    # a NaN or infinite pair parameter is refused, not computed with
     (["verify", "--gamma", "nan"], None, "a and gamma must be positive and finite"),
     (["verify", "--gamma", "inf"], None, "a and gamma must be positive and finite"),
     (["verify", "--kind", "gpm", "--gamma", "nan"], None,
      "a and gamma must be positive and finite"),
     (["roots", "--gamma", "nan"], None, "a and gamma must be positive and finite"),
     (["verify", "--kind", "hpm", "-a", "nan"], None, "a must be positive and finite"),
-    (["cheeger", "--chain-slack", "nan"], None, "chain_slack must be positive and finite"),
-    (["cheeger", "--chain-slack", -1], None, "chain_slack must be positive and finite"),
-    (["cheeger", "--chain-slack", 0], None, "chain_slack must be positive and finite"),
+    # cheeger checks its best cut against Cheeger's inequality: no slack to set
+    (["cheeger", "--chain-slack", 5], None, "--chain-slack"),
+    # a root index range is counted against the work budget before it exists
+    (["roots", "--k-max", 10**20], None,
+     "k_min to k_max give over 1e+07 roots of each sign, past the work budget of 1e+07"),
+    (["figure2", f"--k-min={-10**20}"], None, "k_min to k_max give over 1e+07 roots"),
     # time-frequency coordinates past 1e150 would overflow their squares
     (["probe", "-R", 1e300], None, "grid extent x_min -1e+300 is not within ±1e+150"),
     (["probe", "-R", 1e160], None, "grid extent x_min -1e+160 is not within ±1e+150"),
@@ -554,6 +557,11 @@ UNREAD = [
      "k_min must not exceed k_max"),
     (["roots", "--kind", "gpm", "--k-min", 3, "--k-max", -3], None,
      "k_min must not exceed k_max"),
+    # a lattice's k_max far past the budget is printed as the counts are
+    (["verify", f"--k-max={-10**30}"], None, "the lattice has no line: k_max below -1e+07"),
+    # root levels past the coordinate bound, which one index already reaches
+    (["roots", "--k-min", 10**400, "--k-max", 10**400], None,
+     "k_min and k_max must lie within ±1e+150, so that the root levels 2 a k stay"),
 ])
 def test_rejected_input_exits_1(tmp_path, capsys, args, config, message):
     if config is not None:
@@ -617,14 +625,29 @@ UNREAD_AT_DEFAULTS = {
 }
 
 
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    """runs(*argv) -> (exit code, out dir): each argv runs once, and every
+    test that reads its outputs shares that run."""
+    done = {}
+
+    def run_once(*argv):
+        if argv not in done:
+            out = tmp_path_factory.mktemp(argv[0])
+            done[argv] = (run([*argv, "--out-dir", out]), out)
+        return done[argv]
+    return run_once
+
+
 @pytest.mark.parametrize("name", sorted(_COMMANDS))
-def test_flags_match_report_config(tmp_path, capsys, name):
+def test_flags_match_report_config(runs, capsys, name):
     # one table per command: the report config holds the flags that the
     # resolved kinds read, and the preset that each spectrogram row fixes
     assert exit_code([name, "--help"]) == 0
     assert name in capsys.readouterr().out
-    assert run([name, "--out-dir", tmp_path]) == 0
-    (report,) = tmp_path.glob("*.json")
+    code, out = runs(name)
+    assert code == 0
+    (report,) = out.glob("*.json")
     config = json.loads(report.read_text())["config"]
     dests = {a.dest for a in subparsers()[name]._actions} - {"help", "config"}
     fixed = {"preset"} if "preset" in _COMMANDS[name][1] else set()
@@ -642,14 +665,17 @@ def rows(name):
             yield row
 
 
-# another valid value for each key a row reads, unlike any default of the key
+# another valid value for each key a row reads, unlike any default of the key.
+# n_fields acts through refine's minimum slack alone, which more fields lower
+# only when one of them undercuts the base run's 3: with seed 7, a fourth
+# field does so on the fpm row alone, and the first 20 do on every row
 OTHER = dict(
     sign="minus", a=0.4, gamma=0.3, tau=0.05, theta=0.3, xmin=-3.0, xmax=3.0,
     wmin=-3.0, wmax=3.0, nx=23, nw=23, samples=31, extent=3.0, offset=0.25,
     k_min=-2, k_max=2, tol=1e-30, noneq_floor=1e6, R=3.5, delta=0.5, p=1.5,
     n=23, floor_rel=1e-6, m=3, separation=4.0, bridge=0.2, sigma=0.3,
-    corridor_sigma=0.2, k=2, n_fields=4, seed=8, cut_lo=-1.0, cut_hi=1.0,
-    cut_count=10, chain_slack=5.0, scale=7.0, s=3.0,
+    corridor_sigma=0.2, k=2, n_fields=20, seed=8, cut_lo=-1.0, cut_hi=1.0,
+    cut_count=10, scale=7.0, s=3.0,
 )
 OTHER_IN = {("dnorm", "k"): 0}  # D-norms take k = 0 or 1
 
@@ -732,11 +758,28 @@ DEFAULT_OUTPUTS = {
 
 
 @pytest.mark.parametrize("name", sorted(_COMMANDS))
-def test_each_command_writes_one_report(tmp_path, name):
+def test_each_command_writes_one_report(runs, name):
     command, report, files = DEFAULT_OUTPUTS[name]
-    assert run([name, "--out-dir", tmp_path]) == 0
-    assert {p.name for p in tmp_path.iterdir()} == {report, *files}
-    assert json.loads((tmp_path / report).read_text())["command"] == command
+    code, out = runs(name)
+    assert code == 0
+    assert {p.name for p in out.iterdir()} == {report, *files}
+    assert json.loads((out / report).read_text())["command"] == command
+
+
+# the record of what each run reports, by its argv: the exit code and the
+# sorted keys of the report's config, payload and provenance.  A change that
+# adds, removes or renames a key rewrites the record
+REPORT_KEYS = json.loads(
+    (Path(__file__).resolve().parent / "golden" / "report_keys.json").read_text())
+
+
+@pytest.mark.parametrize("argv", sorted(REPORT_KEYS))
+def test_report_keys_match_the_record(runs, argv):
+    code, out = runs(*argv.split())
+    (report,) = out.glob("*.json")
+    rep = json.loads(report.read_text())
+    keys = {section: sorted(rep[section]) for section in ("config", "payload", "provenance")}
+    assert dict(exit=code, **keys) == REPORT_KEYS[argv]
 
 
 def test_default_csv_and_pgm_bytes_match_the_benchmark_digests(tmp_path):
