@@ -69,24 +69,17 @@ class _CutTable:
         # cancels catastrophically when that side carries almost all the mass
         self.left = np.concatenate(([0.0], np.cumsum(self.col_mass)))
         self.right = np.concatenate((np.cumsum(self.col_mass[::-1])[::-1], [0.0]))
-        self.weight = domain.weight
+        wt = self.weight = domain.weight
         self.cell_ok = mask[:-1, :-1] & mask[1:, :-1] & mask[:-1, 1:] & mask[1:, 1:]
-        self._corners = None
+        # the weight at each cell's four corners and the cell's flag, flat and
+        # contiguous so that one cell index of a circle point reads all five
+        self.corners = (wt[:-1, :-1].ravel(), wt[1:, :-1].ravel(),
+                        wt[:-1, 1:].ravel(), wt[1:, 1:].ravel(), self.cell_ok.ravel())
         r2 = (self.xs[:, None] ** 2 + self.ws[None, :] ** 2)[mask]
         order = np.argsort(r2)
         self.r2, node_w = r2[order], domain.weight[mask][order]
         self.inner = np.concatenate(([0.0], np.cumsum(node_w)))
         self.outer = np.concatenate((np.cumsum(node_w[::-1])[::-1], [0.0]))
-
-    def corners(self):
-        """The weight at each cell's four corners and the cell's flag, flat and
-        contiguous so that one cell index reads all five; built at the first
-        circle, as vertical cuts read the weight rows directly."""
-        if self._corners is None:
-            wt = self.weight
-            self._corners = (wt[:-1, :-1].ravel(), wt[1:, :-1].ravel(),
-                             wt[:-1, 1:].ravel(), wt[1:, 1:].ravel(), self.cell_ok.ravel())
-        return self._corners
 
 
 def _cut_table(domain: WeightedDomain) -> _CutTable:
@@ -151,7 +144,7 @@ def _circle_boundary_integral(domain: WeightedDomain, r):
     tx = (x - xs.take(ix)) / t.dx
     tw = (w - ws.take(iw)) / t.dw
     ux, uw = 1 - tx, 1 - tw
-    w00, w10, w01, w11, cell_ok = t.corners()
+    w00, w10, w01, w11, cell_ok = t.corners
     cell = ix * (len(ws) - 1) + iw
     val = (w00.take(cell) * ux * uw + w10.take(cell) * tx * uw
            + w01.take(cell) * ux * tw + w11.take(cell) * tx * tw)

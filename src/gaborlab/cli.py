@@ -123,7 +123,7 @@ def _out(cfg, name):
 _SPECTROGRAM_DEFAULTS = dict(
     signal="gaussian", sign="plus", a=0.5, gamma=0.1, tau=0.0, theta=0.0,
     xmin=-4.0, xmax=4.0, wmin=-4.0, wmax=4.0, nx=201, nw=201,
-    preset=None, out_dir=".",
+    preset=None,
 )
 
 # fig1a: the two-bump counterexample spectrogram at a = 1/6, time-shifted so
@@ -156,8 +156,8 @@ def _spectrogram_field(cfg):
 def cmd_spectrogram(cfg):
     field = _spectrogram_field(cfg)
     name = cfg["preset"] or "spectrogram"
-    io.write_field_csv(_out(cfg, f"{name}.csv"), field)
-    io.write_pgm(_out(cfg, f"{name}.pgm"), field)
+    io.atomic_write_text(_out(cfg, f"{name}.csv"), io.field_csv_text(field))
+    io.atomic_write_text(_out(cfg, f"{name}.pgm"), io.pgm_text(field))
     payload = {
         "peak": float(field.values.max()),
         "csv": f"{name}.csv",
@@ -175,7 +175,7 @@ def cmd_spectrogram(cfg):
 _VERIFY_DEFAULTS = dict(
     kind="fpm", a=0.5, gamma=math.exp(-5.0 * math.pi), theta=0.0,
     lattice=None, samples=401, extent=None, offset=0.0, k_max=None,
-    tol=1e-9, noneq_floor=1e-9, out_dir=".",
+    tol=1e-9, noneq_floor=1e-9,
 )
 
 
@@ -207,7 +207,7 @@ def cmd_verify(cfg):
 
 _ROOTS_DEFAULTS = dict(
     kind="fpm", a=0.5, gamma=math.exp(-5.0 * math.pi), theta=0.0,
-    k_min=-3, k_max=3, out_dir=".",
+    k_min=-3, k_max=3,
 )
 
 
@@ -227,7 +227,7 @@ def _write_points(cfg, name, label, sets):
     io.atomic_write_text(_out(cfg, name), "\n".join(lines) + "\n")
 
 
-_THRESHOLD_DEFAULTS = dict(a=0.5, R=3.0, delta=1.0, out_dir=".")
+_THRESHOLD_DEFAULTS = dict(a=0.5, R=3.0, delta=1.0)
 
 
 def cmd_threshold(cfg):
@@ -240,7 +240,6 @@ def cmd_threshold(cfg):
 
 _FIGURE2_DEFAULTS = dict(
     a=0.5, gamma=math.exp(-5.0 * math.pi), R=3.0, k_min=-3, k_max=3,
-    out_dir=".",
 )
 
 
@@ -277,7 +276,7 @@ def _build_domain(cfg):
         half_w = max(4.0 * cfg["sigma"], 1.5)
         half_x = cfg["separation"] / 2.0 + 3.0 * cfg["sigma"]
         grid = TFGrid(-half_x, half_x, -half_w, half_w,
-                      cfg["n"], max(2 * int(cfg["n"] * half_w / half_x) // 2 + 1, 41))
+                      cfg["n"], max(2 * (int(cfg["n"] * half_w / half_x) // 2) + 1, 41))
         return dumbbell_weight(cfg["separation"], cfg["bridge"], cfg["sigma"],
                                grid, cfg["corridor_sigma"], cfg["floor_rel"])
     R, n = cfg["R"], cfg["n"]
@@ -309,7 +308,7 @@ def _provenance(domain, dec):
     }
 
 
-_SPECTRUM_DEFAULTS = dict(_DOMAIN_DEFAULTS, m=5, out_dir=".")
+_SPECTRUM_DEFAULTS = dict(_DOMAIN_DEFAULTS, m=5)
 
 
 def cmd_spectrum(cfg):
@@ -319,11 +318,9 @@ def cmd_spectrum(cfg):
     return 0, {"eigenvalues": dec.eigenvalues}, _provenance(domain, dec)
 
 
-# lambda_1 alone sets the constant: more pairs change only its last bits
-# and the solve's cost, so poincare solves for two, as cheeger does
-_POINCARE_DEFAULTS = dict(_DOMAIN_DEFAULTS, out_dir=".")
-
-
+# poincare reads the domain keys alone.  lambda_1 alone sets the constant:
+# more pairs change only its last bits and the solve's cost, so poincare
+# solves for two, as cheeger does
 def cmd_poincare(cfg):
     domain = _build_domain(cfg)
     dec = solve_spectrum(domain, 2)
@@ -337,7 +334,7 @@ def cmd_poincare(cfg):
 # p is fixed at 2 and no weight kind or dumbbell key takes a flag
 _VARIATION_DEFAULTS = dict(
     {key: _DOMAIN_DEFAULTS[key] for key in ("a", "gamma", "R", "n", "floor_rel")},
-    mode="fpm-vs-gaussian", scale=3.0, out_dir=".",
+    mode="fpm-vs-gaussian", scale=3.0,
 )
 
 
@@ -364,7 +361,6 @@ def cmd_variation(cfg):
 
 _REFINE_DEFAULTS = dict(
     _DOMAIN_DEFAULTS, weight="dumbbell", m=5, k=1, n_fields=50, seed=7,
-    out_dir=".",
 )
 
 
@@ -385,7 +381,6 @@ def cmd_refine(cfg):
 
 _CHEEGER_DEFAULTS = dict(
     _DOMAIN_DEFAULTS, cuts="vertical", cut_lo=None, cut_hi=None, cut_count=101,
-    out_dir=".",
 )
 
 
@@ -419,7 +414,7 @@ def cmd_cheeger(cfg):
 
 _PROBE_DEFAULTS = dict(
     kind="fpm", a=0.5, gamma=math.exp(-5.0 * math.pi), p=1.0, s=4.0,
-    R=3.0, n=121, out_dir=".",
+    R=3.0, n=121,
 )
 
 
@@ -433,7 +428,6 @@ def cmd_probe(cfg):
 
 _DNORM_DEFAULTS = dict(
     kind="fpm", a=0.5, gamma=0.1, p=1.0, s=4.0, k=1, R=4.0, n=161,
-    out_dir=".",
 )
 
 
@@ -453,8 +447,8 @@ def cmd_dnorm(cfg):
 # ---------------------------------------------------------------------------
 
 # name: (function, defaults, the command its report names); the report is
-# <preset or that command>.json
-_COMMANDS = {
+# <preset or that command>.json, written to out_dir, which every command takes
+_COMMANDS = {name: (func, dict(table, out_dir="."), command) for name, (func, table, command) in {
     "spectrogram": (cmd_spectrogram, _SPECTROGRAM_DEFAULTS, "spectrogram"),
     "figure1a": (cmd_spectrogram, _FIGURE1A_DEFAULTS, "spectrogram"),
     "figure1b": (cmd_spectrogram, _FIGURE1B_DEFAULTS, "spectrogram"),
@@ -463,13 +457,13 @@ _COMMANDS = {
     "threshold": (cmd_threshold, _THRESHOLD_DEFAULTS, "threshold"),
     "figure2": (cmd_figure2, _FIGURE2_DEFAULTS, "figure2"),
     "spectrum": (cmd_spectrum, _SPECTRUM_DEFAULTS, "spectrum"),
-    "poincare": (cmd_poincare, _POINCARE_DEFAULTS, "poincare"),
+    "poincare": (cmd_poincare, _DOMAIN_DEFAULTS, "poincare"),
     "variation": (cmd_variation, _VARIATION_DEFAULTS, "variation"),
     "refine": (cmd_refine, _REFINE_DEFAULTS, "refine"),
     "cheeger": (cmd_cheeger, _CHEEGER_DEFAULTS, "cheeger"),
     "probe": (cmd_probe, _PROBE_DEFAULTS, "probe"),
     "dnorm": (cmd_dnorm, _DNORM_DEFAULTS, "dnorm"),
-}
+}.items()}
 
 # the types of the keys whose default is None; every other key takes the type
 # of its default

@@ -217,7 +217,9 @@ def root_set_pair(pair: CounterexamplePair, k_min, k_max):
     +pi/2 phase of +i gamma needs omega = -a/2 (mod 2a) to meet -1, so
     f_plus vanishes on the -a/2 branch.  As for a lattice, the levels 2 a k
     stay within COORD_BOUND, and the roots of each sign, two per k for gpm,
-    are counted against the work budget before any array exists.
+    are counted against the work budget before any array exists.  Below
+    |k| = 2^50 a double holds 2 a k to within a/4 (2^-53 relative), under
+    the spacing a of the levels +-a/2 + 2 a k, so no two roots share one.
     """
     if k_min > k_max:
         raise ValueError("k_min must not exceed k_max")
@@ -230,6 +232,9 @@ def root_set_pair(pair: CounterexamplePair, k_min, k_max):
     if rows > WORK_BUDGET:
         raise ValueError(f"k_min to k_max give {_shown(rows)} roots of each sign, past"
                          f" the work budget of {WORK_BUDGET:.0e}")
+    if not -2**50 < k_min <= k_max < 2**50:
+        raise ValueError("k_min and k_max must lie strictly within ±2^50, so that the"
+                         " root levels ±a/2 + 2 a k stay apart in doubles")
     a = pair.a
     ks = np.arange(k_min, k_max + 1)
     if pair.kind in ("hpm", "fpm"):

@@ -53,10 +53,6 @@ def field_csv_text(field) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_field_csv(path, field):
-    atomic_write_text(path, field_csv_text(field))
-
-
 def pgm_text(field) -> str:
     """P2 image; rows scan omega from top (w_max) down, columns scan x.
 
@@ -79,10 +75,6 @@ def pgm_text(field) -> str:
     lines = ["P2", f"{grid.nx} {grid.nw}", "255"]
     lines.extend(" ".join(str(v) for v in row) for row in img)
     return "\n".join(lines) + "\n"
-
-
-def write_pgm(path, field):
-    atomic_write_text(path, pgm_text(field))
 
 
 def _plain(obj):

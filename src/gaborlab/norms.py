@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gabor import gabor_fields
-from .signals import GaussianSum, signal_phase_distance
+from .signals import GaussianSum
 
 _SCAN = 12  # phase samples of the alignment scan
 _ULPS4 = 4.0 * np.finfo(float).eps  # the alignment objective's resolution
@@ -32,7 +32,7 @@ def _cell_lp(vals, p, area, weight=None, mask=None):
     return float(np.sum(integrand)) * area
 
 
-def _brent_min(fn, lo, hi, x, fx, flo, fhi, tol):
+def _brent_min(fn, lo, hi, x, fx, flo, fhi):
     """Brent's bounded minimizer of fn on [lo, hi] from the point x in it
     with value fx, where the bracket's ends have the known values flo and
     fhi; returns (x, fn(x)) for the best point found.
@@ -40,15 +40,15 @@ def _brent_min(fn, lo, hi, x, fx, flo, fhi, tol):
     Parabolic steps through the three best points so far, golden-section
     steps when a parabola is not trusted (Brent 1973, ch. 5).  The bracket's
     ends seed the two points besides x, and the first step may already be
-    parabolic.  Stops when x lies within about tol of the shrinking
+    parabolic.  Stops when x lies within about _PHASE_TOL of the shrinking
     bracket's midpoint, or once a new point's value is within 4 ulps of the
     best: the objective resolves nothing finer."""
     c = (3.0 - math.sqrt(5.0)) / 2.0
     a, b = lo, hi
     (fw, w), (fv, v) = sorted([(flo, lo), (fhi, hi)])
     d = e = hi - lo
-    # |x| < 7, so Brent's relative term eps * |x| is far below tol / 3
-    tol1 = tol / 3.0
+    # |x| < 7, so Brent's relative term eps * |x| is far below _PHASE_TOL / 3
+    tol1 = _PHASE_TOL / 3.0
     tol2 = 2.0 * tol1
     while True:
         m = (a + b) / 2.0
@@ -92,34 +92,19 @@ def _brent_min(fn, lo, hi, x, fx, flo, fhi, tol):
                 v, fv = u, fu
 
 
-def _aligned_phase_min(a, b, p, area):
-    """(alpha, min_alpha sum |a - e^{-i alpha} b|^p * area) for value arrays
-    a and b.
+def _phase_search(objective):
+    """(alpha, min_alpha objective(alpha)) for a 2pi-periodic objective.
 
-    The objective is 2pi-periodic and can have two local minima.  It is
-    sampled at _SCAN equispaced phases (alpha = 0, a common exact minimizer,
-    among them); each sample no larger than its two periodic neighbours is
-    refined by Brent's method between those neighbours.  A second minimum
-    can hide just outside that bracket, so each gap beyond a neighbour that
-    is lower than the sample past it, and where the objective descends away
-    from the low sample, is refined too.  Each refinement starts from the
-    scan values at its bracket's ends and stops at the objective's rounding
-    floor (see _brent_min).  The best sample or refinement wins, the first
-    found on ties.
-
-    Each evaluation reuses one complex and one real work array and applies
-    the same ufuncs to the same operands as the plain expression
-    sum(|a - e^{-i alpha} b|**p), so its value keeps every bit."""
-    c = np.empty(a.shape, dtype=complex)
-    r = np.empty(a.shape)
-
-    def objective(alpha):
-        np.multiply(np.exp(-1j * alpha), b, out=c)
-        np.subtract(a, c, out=c)
-        mag = np.abs(c, out=r)
-        mag **= p  # ndarray.__pow__ keeps its scalar fast paths (p = 1, 2)
-        return float(np.sum(mag)) * area
-
+    The objective can have two local minima.  It is sampled at _SCAN
+    equispaced phases (alpha = 0, a common exact minimizer, among them);
+    each sample no larger than its two periodic neighbours is refined by
+    Brent's method between those neighbours.  A second minimum can hide
+    just outside that bracket, so each gap beyond a neighbour that is lower
+    than the sample past it, and where the objective descends away from the
+    low sample, is refined too.  Each refinement starts from the scan values
+    at its bracket's ends and stops at the objective's rounding floor (see
+    _brent_min).  The best sample or refinement wins, the first found on
+    ties."""
     step = 2.0 * math.pi / _SCAN
     vals = [objective(k * step) for k in range(_SCAN)]
     k_best = min(range(_SCAN), key=vals.__getitem__)
@@ -137,29 +122,44 @@ def _aligned_phase_min(a, b, p, area):
                 brackets.append((min(j, j + side), max(j, j + side), j))
     for lo, hi, k in brackets:
         x, v = _brent_min(objective, lo * step, hi * step, k * step, vals[k],
-                          vals[lo % _SCAN], vals[hi % _SCAN], _PHASE_TOL)
+                          vals[lo % _SCAN], vals[hi % _SCAN])
         if v < best[1]:
             best = (x % (2.0 * math.pi), v)
     return best
 
 
+def _aligned_phase_min(a, b, p, area):
+    """(alpha, min_alpha sum |a - e^{-i alpha} b|^p * area) for value arrays
+    a and b, found by _phase_search.
+
+    Each evaluation reuses one complex and one real work array and applies
+    the same ufuncs to the same operands as the plain expression
+    sum(|a - e^{-i alpha} b|**p), so its value keeps every bit."""
+    c = np.empty(a.shape, dtype=complex)
+    r = np.empty(a.shape)
+
+    def objective(alpha):
+        np.multiply(np.exp(-1j * alpha), b, out=c)
+        np.subtract(a, c, out=c)
+        mag = np.abs(c, out=r)
+        mag **= p  # ndarray.__pow__ keeps its scalar fast paths (p = 1, 2)
+        return float(np.sum(mag)) * area
+
+    return _phase_search(objective)
+
+
 def global_phase_distance(f: GaussianSum, g: GaussianSum, grid, p=2.0):
-    """(alpha_star, dist) for the metric min_alpha ||G f - e^{i alpha} G g||_p.
+    """(alpha_star, dist) for the metric min_alpha ||G f - e^{i alpha} G g||_p
+    on the grid, by the cell quadrature, for every p >= 1.
 
     alpha_star is the phase of g relative to f (g ~ e^{i alpha_star} f at the
-    minimum); for p = 2 it is the argument of the discrete inner product
-    <G f, G g> (conjugate-linear in the first slot) and the distance comes
-    from the exact signal-level closed form
-    sqrt(||f||^2 + ||g||^2 - 2 |<f, g>|).
+    minimum).  At p = 2 the objective is one sinusoid in alpha.  The
+    whole-plane L^2 distance, exact at the signal level, is
+    signals.signal_phase_distance.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
     Ff, Fg = gabor_fields((f, g), grid)
-    if p == 2.0:
-        ip = complex(np.sum(np.conj(Ff.values) * Fg.values)) * grid.cell_area
-        alpha = math.atan2(ip.imag, ip.real) if ip != 0 else 0.0
-        return alpha, signal_phase_distance(f, g)
-
     alpha, val = _aligned_phase_min(Ff.values, Fg.values, p, grid.cell_area)
     return alpha % (2.0 * math.pi), val ** (1.0 / p)
 

@@ -45,20 +45,16 @@ class GaussianSum:
     __slots__ = ("atoms", "_field")
 
     def __init__(self, atoms=()):
+        # a dict keeps its keys in first-insertion order
         merged: dict[tuple[float, float], complex] = {}
-        order: list[tuple[float, float]] = []
         for atom in atoms:
             if isinstance(atom, GaussianAtom):
                 c, u, b = atom.coeff, atom.shift, atom.modulation
             else:
                 c, u, b = atom
             key = (float(u), float(b))
-            if key not in merged:
-                merged[key] = 0j
-                order.append(key)
-            merged[key] += complex(c)
-        kept = [(merged[k], k[0], k[1]) for k in order if merged[k] != 0]
-        self.atoms = tuple(GaussianAtom(c, u, b) for c, u, b in kept)
+            merged[key] = merged.get(key, 0j) + complex(c)
+        self.atoms = tuple(GaussianAtom(c, u, b) for (u, b), c in merged.items() if c != 0)
         self._field = None
 
     def __len__(self):

@@ -257,7 +257,7 @@ def signal_inner(f: GaussianSum, g: GaussianSum) -> complex:
 
 
 def read_field_csv(path):
-    """Reconstruct a MagnitudeField from the CSV written by write_field_csv."""
+    """Reconstruct a MagnitudeField from the CSV text of io.field_csv_text."""
     xs, ws, vs = [], [], []
     with open(path) as fh:
         header = fh.readline().strip()

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gaborlab.grid import ComplexField, MagnitudeField, TFGrid
-from gaborlab.io import field_csv_text, write_field_csv, write_report
+from gaborlab.io import atomic_write_text, field_csv_text, write_report
 
 from oracles import read_field_csv
 
@@ -58,7 +58,7 @@ def test_field_csv_matches_reference_and_round_trips(tmp_path_factory, field):
     text = field_csv_text(field)
     assert text == reference_csv_text(field)
     path = tmp_path_factory.mktemp("csv") / "field.csv"
-    write_field_csv(path, field)
+    atomic_write_text(path, text)
     back = read_field_csv(path)
     assert back.grid == field.grid
     assert back.values.tobytes() == magnitudes(field).tobytes()

@@ -92,6 +92,19 @@ def test_fpm_distance_closed_form_and_alpha_sweep():
     assert dist == pytest.approx(sweep, abs=2e-3)
 
 
+def test_global_phase_distance_is_one_grid_distance_for_every_p():
+    # p = 2 is the grid quadrature as every other p is, not the whole-plane
+    # signal distance: fpm at a = 0.2 keeps much of its mass off this grid
+    pair = make_fpm(0.2, 1.0)
+    grid = TFGrid(-3, 3, -3, 3, 121, 121)
+    _, dist = global_phase_distance(pair.plus, pair.minus, grid, 2.0)
+    _, near = global_phase_distance(pair.plus, pair.minus, grid, 2.0 - 1e-9)
+    assert dist == pytest.approx(near, rel=1e-6)
+    Fp, Fm = gabor_field(pair.plus, grid), gabor_field(pair.minus, grid)
+    unaligned = math.sqrt(float(np.sum(np.abs(Fp.values - Fm.values) ** 2)) * grid.cell_area)
+    assert dist <= unaligned
+
+
 def test_global_phase_distance_general_p_agrees_with_sweep():
     pair = make_fpm(1.0, 0.5)
     grid = TFGrid(-3, 4, -3, 4, 71, 71)
@@ -188,34 +201,15 @@ def test_probe_and_distance_do_not_depend_on_a_warm_memo(make):
             assert analysis(pair) == cold
 
 
-def allocating_aligned_phase_min(a, b, p, area, tol=1e-10):
+def allocating_aligned_phase_min(a, b, p, area):
     """The alignment as it was before its objective reused work arrays: a
     fresh complex and a fresh real temporary per evaluation.  The search is
     the library's own, so only the objective differs."""
-    step = 2.0 * math.pi / norms._SCAN
-
     def objective(alpha):
         diff = np.abs(a - np.exp(-1j * alpha) * b)
         return float(np.sum(diff**p)) * area
 
-    vals = [objective(k * step) for k in range(norms._SCAN)]
-    k_best = min(range(norms._SCAN), key=vals.__getitem__)
-    best = (k_best * step, vals[k_best])
-    low = [vals[k] <= vals[k - 1] and vals[k] <= vals[(k + 1) % norms._SCAN]
-           for k in range(norms._SCAN)]
-    brackets = [(k - 1, k + 1, k) for k in range(norms._SCAN) if low[k]]
-    for k in filter(low.__getitem__, range(norms._SCAN)):
-        for side in (-1, 1):
-            j, far = (k + side) % norms._SCAN, (k + 2 * side) % norms._SCAN
-            if (not low[far] and vals[far] > vals[j]
-                    and side * (objective(j * step + 1e-6) - vals[j]) < 0):
-                brackets.append((min(j, j + side), max(j, j + side), j))
-    for lo, hi, k in brackets:
-        x, v = norms._brent_min(objective, lo * step, hi * step, k * step, vals[k],
-                                vals[lo % norms._SCAN], vals[hi % norms._SCAN], tol)
-        if v < best[1]:
-            best = (x % (2.0 * math.pi), v)
-    return best
+    return norms._phase_search(objective)
 
 
 @settings(max_examples=80, deadline=None)
