@@ -67,11 +67,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _grid_from(cfg):
-    return TFGrid(cfg["xmin"], cfg["xmax"], cfg["wmin"], cfg["wmax"],
-                  cfg["nx"], cfg["nw"])
-
-
 # the kinds that signal, kind, weight, lattice, cuts and mode pick; a pair
 # kind's constructor takes the keys listed here, then theta
 _PAIRS = {"hpm": (make_hpm, ("a",)), "fpm": (make_fpm, ("a", "gamma")),
@@ -83,13 +78,11 @@ def _make_pair(kind, cfg) -> CounterexamplePair:
     return make(*(cfg[key] for key in keys), cfg.get("theta", 0.0))
 
 
-# the figures' pair, which a preset picks: hpm shifted by 1/(2a), at theta 0
-_SHIFTED_HPM = ("hpm", "preset")
 # picking key -> value -> the keys that kind reads.  A command reads the keys
 # of its resolved rows and each key of its defaults that no row of its
 # picking keys lists
 _KINDS = {
-    "signal": {"gaussian": (), "empty": (), _SHIFTED_HPM: ("sign", "a", "tau"),
+    "signal": {"gaussian": (), "empty": (),
                **{kind: ("sign", *keys, "tau", "theta") for kind, (_, keys) in _PAIRS.items()}},
     "kind": {kind: (*keys, "theta") for kind, (_, keys) in _PAIRS.items()},
     "weight": {"gaussian": ("p", "R"),
@@ -103,12 +96,6 @@ _KINDS = {
 }
 
 
-def _kind(pick, cfg):
-    """The value that cfg picks by the key pick, as _KINDS[pick] names it."""
-    shifted = pick == "signal" and cfg["signal"] == "hpm" and cfg["preset"]
-    return _SHIFTED_HPM if shifted else cfg[pick]
-
-
 def _out(cfg, name):
     os.makedirs(cfg["out_dir"], exist_ok=True)
     return os.path.join(cfg["out_dir"], name)
@@ -118,8 +105,8 @@ def _out(cfg, name):
 # spectrogram / figure1a / figure1b
 # ---------------------------------------------------------------------------
 
-# preset is fixed per command, not a flag: it names the outputs and picks
-# the shifted hpm pair of the figures
+# preset is fixed per command, not a flag: it names the outputs and shifts
+# an hpm pair as the figures do
 _SPECTROGRAM_DEFAULTS = dict(
     signal="gaussian", sign="plus", a=0.5, gamma=0.1, tau=0.0, theta=0.0,
     xmin=-4.0, xmax=4.0, wmin=-4.0, wmax=4.0, nx=201, nw=201,
@@ -136,18 +123,17 @@ _FIGURE1B_DEFAULTS = dict(_FIGURE1A_DEFAULTS, tau=0.1, preset="fig1b")
 
 
 def _spectrogram_field(cfg):
-    grid = _grid_from(cfg)
+    grid = TFGrid(cfg["xmin"], cfg["xmax"], cfg["wmin"], cfg["wmax"], cfg["nx"], cfg["nw"])
     sig = cfg["signal"]
     if sig in ("empty", "gaussian"):
         return gabor_magnitude_field(gaussian() if sig == "gaussian" else GaussianSum(), grid)
-    if cfg["tau"] > 0.0 and cfg.get("theta", 0.0) != 0.0:
+    if cfg["tau"] > 0.0 and cfg["theta"] != 0.0:
         raise ValueError("tilted spectrograms do not compose with rotation")
-    if _kind("signal", cfg) == _SHIFTED_HPM:
-        base, s = make_hpm(cfg["a"]), 1.0 / (2.0 * cfg["a"])
-        pair = CounterexamplePair(base.plus.translated(s), base.minus.translated(s),
-                                  "hpm", cfg["a"])
-    else:
-        pair = _make_pair(sig, cfg)
+    pair = _make_pair(sig, cfg)
+    if cfg["preset"] and sig == "hpm":
+        s = 1.0 / (2.0 * cfg["a"])
+        pair = dataclasses.replace(pair, plus=pair.plus.translated(s),
+                                   minus=pair.minus.translated(s))
     # tau = 0 is the untilted field
     plus_field, minus_field = tilt_magnitude(pair, cfg["tau"], grid)
     return plus_field if cfg["sign"] == "plus" else minus_field
@@ -271,6 +257,11 @@ _DOMAIN_DEFAULTS = dict(
 )
 
 
+def _square_grid(cfg):
+    """The n x n grid over [-R, R]^2."""
+    return TFGrid(-cfg["R"], cfg["R"], -cfg["R"], cfg["R"], cfg["n"], cfg["n"])
+
+
 def _build_domain(cfg):
     if cfg["weight"] == "dumbbell":
         half_w = max(4.0 * cfg["sigma"], 1.5)
@@ -279,11 +270,10 @@ def _build_domain(cfg):
                       cfg["n"], max(2 * (int(cfg["n"] * half_w / half_x) // 2) + 1, 41))
         return dumbbell_weight(cfg["separation"], cfg["bridge"], cfg["sigma"],
                                grid, cfg["corridor_sigma"], cfg["floor_rel"])
-    R, n = cfg["R"], cfg["n"]
-    grid = TFGrid(-R, R, -R, R, n, n)
+    grid = _square_grid(cfg)
     sig = gaussian() if cfg["weight"] == "gaussian" else _make_pair(cfg["weight"], cfg).plus
     mag = gabor_magnitude_field(sig, grid)
-    return build_weighted_domain(mag, cfg["p"], disk_mask(grid, R), cfg["floor_rel"])
+    return build_weighted_domain(mag, cfg["p"], disk_mask(grid, cfg["R"]), cfg["floor_rel"])
 
 
 def _domain_record(domain, dec):
@@ -420,7 +410,7 @@ _PROBE_DEFAULTS = dict(
 
 def cmd_probe(cfg):
     pair = _make_pair(cfg["kind"], cfg)
-    grid = TFGrid(-cfg["R"], cfg["R"], -cfg["R"], cfg["R"], cfg["n"], cfg["n"])
+    grid = _square_grid(cfg)
     mask = disk_mask(grid, cfg["R"])
     report = stability_probe(pair.plus, pair.minus, mask, grid, cfg["p"], cfg["s"])
     return 0, dataclasses.asdict(report), None
@@ -433,7 +423,7 @@ _DNORM_DEFAULTS = dict(
 
 def cmd_dnorm(cfg):
     pair = _make_pair(cfg["kind"], cfg)
-    grid = TFGrid(-cfg["R"], cfg["R"], -cfg["R"], cfg["R"], cfg["n"], cfg["n"])
+    grid = _square_grid(cfg)
     fp, fm = gabor_fields((pair.plus, pair.minus), grid)
     diff = ComplexField(grid, (np.abs(fp.values) - np.abs(fm.values)).astype(complex))
     value = measurement_norm_D(diff, cfg["p"], cfg["s"], cfg["k"],
@@ -527,14 +517,13 @@ def _resolve(table, path, given):
             _check(key, val, table)
     cfg = {**table, **loaded, **given}
     for pick in [pick for pick in _KINDS if pick in table]:
-        rows, kind = _KINDS[pick], _kind(pick, cfg)
+        rows, kind = _KINDS[pick], cfg[pick]
         listed = [key for key in table if any(key in row for row in rows.values())]
         unread = [key for key in listed if key not in rows[kind]]
         rejected = [key for key in unread if key in loaded or key in given]
         if rejected:
-            preset = f" with the preset {cfg['preset']!r}" if kind == _SHIFTED_HPM else ""
             reads = ", ".join(key for key in listed if key in rows[kind]) or "none"
-            raise ValueError(f"{pick} {cfg[pick]!r}{preset} does not read "
+            raise ValueError(f"{pick} {kind!r} does not read "
                              f"{', '.join(map(repr, rejected))}; "
                              f"of {', '.join(listed)} it reads {reads}")
         cfg = {key: val for key, val in cfg.items() if key not in unread}

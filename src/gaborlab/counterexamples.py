@@ -162,7 +162,9 @@ def make_hpm(a, theta=0.0) -> CounterexamplePair:
     """h_pm = phi (cosh(pi t/a) +- i sinh(pi t/a)) as exact two-atom sums."""
     if not 0 < a < math.inf:
         raise ValueError(f"a must be positive and finite, got {a!r}")
-    exponent = math.pi / (4.0 * a * a)
+    # 4 a^2 underflows to 0 below a ~ 1e-162, where no exponent is finite
+    quarter = 4.0 * a * a
+    exponent = math.pi / quarter if quarter > 0.0 else math.inf
     if exponent > 0.99 * _LOG_HUGE:
         raise ValueError("a too small: the exact-atom coefficient e^{pi/(4a^2)} "
                          "overflows double precision")
@@ -242,11 +244,13 @@ def root_set_pair(pair: CounterexamplePair, k_min, k_max):
         rp, rm = (np.column_stack([np.full(len(ks), x), w + 2.0 * a * ks])
                   for w in (-a / 2.0, a / 2.0))
     elif pair.kind == "gpm":
-        # sin(pi z / a) = +- e^{pi/(2a^2)}/(2 gamma) =: +- S with S > 1
-        S = math.exp(math.pi / (2.0 * a * a)) / (2.0 * pair.gamma)
-        if S <= 1.0:
+        # sin(pi z / a) = +- e^{pi/(2a^2)}/(2 gamma) =: +- S with S > 1, at
+        # omega = (a/pi) acosh S; from L = log S, acosh S = L + log(1 + sqrt(1 - S^-2)),
+        # so S itself, past the double range at small a, is never formed
+        L = math.pi / (2.0 * a * a) - math.log(2.0 * pair.gamma)
+        if L <= 0.0:
             raise ValueError("gpm root formula needs gamma < e^{pi/(2a^2)}/2")
-        w_off = (a / math.pi) * math.acosh(S)
+        w_off = (a / math.pi) * (L + math.log1p(math.sqrt(-math.expm1(-2.0 * L))))
         rp, rm = (np.column_stack([np.repeat(x + 2.0 * a * ks, 2),
                                    np.tile([w_off, -w_off], len(ks))])
                   for x in (a / 2.0, -a / 2.0))
@@ -265,11 +269,12 @@ def _gamma_0_exponent(a, R):
 
 def gamma_0(a, R):
     """The root-free-strip threshold e^{-(pi/a)(R - 1/(2a))}, unclamped."""
-    try:
-        return math.exp(_gamma_0_exponent(a, R))
-    except OverflowError:
+    exponent = _gamma_0_exponent(a, R)
+    # an infinite or NaN exponent fails this too; math.exp(inf) would not raise
+    if not exponent <= _LOG_HUGE:
         raise ValueError(f"gamma_0 = e^(-(pi/a)(R - 1/(2a))) overflows a double "
-                         f"at a = {a!r}, R = {R!r}") from None
+                         f"at a = {a!r}, R = {R!r}")
+    return math.exp(exponent)
 
 
 def gamma_threshold(a, R, delta=1.0):
@@ -318,11 +323,9 @@ def tilt_magnitude(base: CounterexamplePair, tau, grid: TFGrid):
             out.append(MagnitudeField(grid, mag))
             continue
         # log-space product: guards the (pathological) case where the tilt
-        # outruns the Gaussian decay inside the double range
+        # outruns the Gaussian decay inside the double range; log 0 = -inf
         with np.errstate(divide="ignore"):
-            logm = np.where(mag > 0.0, np.log(np.where(mag > 0.0, mag, 1.0)),
-                            -np.inf)
-        log_tilted = logm + math.pi * tau * X
+            log_tilted = np.log(mag) + math.pi * tau * X
         if np.max(log_tilted) > 0.99 * _LOG_HUGE:
             raise ValueError(f"tau={tau!r}: the tilted magnitude overflows at the"
                              " grid edge; reduce tau or the grid extent")

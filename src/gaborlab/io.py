@@ -1,4 +1,4 @@
-"""Deterministic file formats: CSV fields, plain-text PGM images, JSON reports.
+"""Deterministic file formats: CSV magnitude fields, plain-text PGM images, JSON reports.
 
 CSV schema: header ``x,omega,value``, rows in row-major order with omega
 varying fastest, floats printed as shortest round-trip decimals.  PGM is
@@ -39,10 +39,9 @@ def atomic_write_text(path, text):
 
 
 def field_csv_text(field) -> str:
+    """The CSV text of a MagnitudeField, one row per node."""
     grid = field.grid
     vals = field.values
-    if np.iscomplexobj(vals):
-        vals = np.abs(vals)
     # repr of a Python float is its shortest round-trip decimal; each node
     # coordinate is formatted once, not once per row
     ws = [repr(w) for w in grid.w_nodes().tolist()]
@@ -54,15 +53,14 @@ def field_csv_text(field) -> str:
 
 
 def pgm_text(field) -> str:
-    """P2 image; rows scan omega from top (w_max) down, columns scan x.
+    """P2 image of a MagnitudeField; rows scan omega from top (w_max) down,
+    columns scan x.
 
     pixel = round(255 * clip(1 + log10(value / max) / PGM_DECADES, 0, 1)); an
     all-zero field maps to all black.
     """
     grid = field.grid
     vals = field.values
-    if np.iscomplexobj(vals):
-        vals = np.abs(vals)
     peak = float(vals.max())
     if peak <= 0.0:
         pix = np.zeros(grid.shape, dtype=int)
@@ -78,14 +76,11 @@ def pgm_text(field) -> str:
 
 
 def _plain(obj):
-    """obj as plain JSON data: arrays as lists, numpy scalars as Python
-    numbers, complex numbers as {"re", "im"}, and each non-finite float
-    spelled as a string ("NaN", "Infinity", "-Infinity"): strict JSON has
-    no token for them."""
+    """obj, real-valued, as plain JSON data: arrays as lists, numpy scalars
+    as Python numbers, and each non-finite float spelled as a string ("NaN",
+    "Infinity", "-Infinity"): strict JSON has no token for them."""
     if isinstance(obj, (np.ndarray, np.generic)):
         obj = obj.tolist()
-    if isinstance(obj, complex):
-        obj = {"re": obj.real, "im": obj.imag}
     if isinstance(obj, float) and not math.isfinite(obj):
         return "NaN" if math.isnan(obj) else ("Infinity" if obj > 0 else "-Infinity")
     if isinstance(obj, dict):

@@ -60,8 +60,17 @@ class WeightedDomain:
             raise ValueError("mask/weight/trimmed shape must match the grid")
         if not self.mask.any():
             raise ValueError("mask is empty")
-        if np.any(self.weight[self.mask] <= 0):
+        node_w = self.weight[self.mask]
+        if np.any(node_w <= 0):
             raise ValueError("weights on the mask must be strictly positive")
+        if not np.all(np.isfinite(node_w)):
+            raise ValueError("weights on the mask must be finite")
+        # a subnormal or zero node mass w dx dw leaves the mass matrix, and
+        # the factorization of S + c M, without a usable pivot
+        tiny = np.finfo(float).tiny
+        if node_w.min() * self.grid.cell_area < tiny:
+            raise ValueError(f"node masses w dx dw must be at least {tiny:.3g}, the"
+                             " smallest normal double")
         # the stiffness graph is the 4-neighbour graph of the mask, so the
         # mask's runs decide connectivity in numpy; scipy and the pencil wait
         # for operators()
@@ -83,7 +92,10 @@ class WeightedDomain:
 
 def build_weighted_domain(mag, p, mask, floor_rel=DEFAULT_FLOOR_REL) -> WeightedDomain:
     """Domain with weight |G f|^p on the mask, trimmed to |G f|^p >= floor_rel * max."""
-    return weighted_domain_from_values(mag.grid, mag.values ** p, mask, floor_rel)
+    # a power past the double range is inf, which WeightedDomain refuses
+    with np.errstate(over="ignore"):
+        values = mag.values ** p
+    return weighted_domain_from_values(mag.grid, values, mask, floor_rel)
 
 
 def weighted_domain_from_values(grid, values, mask=None,
@@ -99,7 +111,8 @@ def weighted_domain_from_values(grid, values, mask=None,
     try:
         return WeightedDomain(grid, kept, values, mask & ~kept)
     except ValueError as exc:
-        if not kept.any() or np.array_equal(kept, mask):
+        # the level splits the mask only where the set it keeps falls apart
+        if not kept.any() or np.array_equal(kept, mask) or _is_4_connected(kept):
             raise
         raise ValueError(f"the weight's super-level set at the trim level {level:.3g}"
                          f" (floor_rel {floor_rel:g} of its maximum) splits") from exc

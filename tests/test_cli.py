@@ -462,8 +462,8 @@ def flags(opts):
 
 # (command, keys set, the error): each key is one that the kind does not read
 UNREAD = [
-    ("figure1a", {"theta": 0.5}, "signal 'hpm' with the preset 'fig1a' does not read"
-     " 'theta'; of sign, a, gamma, tau, theta it reads sign, a, tau"),
+    ("figure1a", {"gamma": 0.3}, "signal 'hpm' does not read 'gamma'; of sign, a,"
+     " gamma, tau, theta it reads sign, a, tau, theta"),
     ("spectrogram", {"a": 0.9, "sign": "minus", "theta": 0.3, "gamma": 0.2},
      "signal 'gaussian' does not read 'sign', 'a', 'gamma', 'theta'; of sign, a,"
      " gamma, tau, theta it reads none"),
@@ -575,6 +575,21 @@ UNREAD = [
      "k_min and k_max must lie strictly within ±2^50, so that the root levels"),
     (["roots", "--k-min", 2**52, "--k-max", 2**52], None,
      "k_min and k_max must lie strictly within ±2^50, so that the root levels"),
+    # 4 a^2 underflows to 0, so no hpm coefficient e^{pi/(4a^2)} is finite
+    (["spectrogram", "--signal", "hpm", "-a", 1e-300], None,
+     "a too small: the exact-atom coefficient e^{pi/(4a^2)} overflows"),
+    (["probe", "--kind", "hpm", "-a", 1e-170, "-n", 21], None,
+     "a too small: the exact-atom coefficient e^{pi/(4a^2)} overflows"),
+    # an infinite exponent, which math.exp returns as inf without raising
+    (["threshold", "-a", 1e-300], None, "gamma_0 = e^(-(pi/a)(R - 1/(2a))) overflows"),
+    # weights |G f|^2 past the double range, and node masses w dx dw below
+    # the smallest normal double, refused before the pencil is factored
+    (["spectrum", "--weight", "fpm", "--gamma", 1e300, "-n", 41], None,
+     "weights on the mask must be finite"),
+    (["variation", "-a", 2, "--gamma", 1e300], None, "weights on the mask must be finite"),
+    (["poincare", "-R", 1e-300], None, "node masses w dx dw must be at least 2.23e-308"),
+    (["variation", "--mode", "scaled", "--scale", 1e-300], None,
+     "node masses w dx dw must be at least 2.23e-308"),
 ])
 def test_rejected_input_exits_1(tmp_path, capsys, args, config, message):
     if config is not None:
@@ -628,8 +643,8 @@ def subparsers():
 _DOMAIN_UNREAD = {"a", "gamma", "separation", "bridge", "sigma", "corridor_sigma"}
 UNREAD_AT_DEFAULTS = {
     "spectrogram": {"sign", "a", "gamma", "tau", "theta"},
-    "figure1a": {"gamma", "theta"},  # the shifted hpm pair
-    "figure1b": {"gamma", "theta"},
+    "figure1a": {"gamma"},  # the shifted hpm pair
+    "figure1b": {"gamma"},
     "spectrum": _DOMAIN_UNREAD,
     "poincare": _DOMAIN_UNREAD,
     "cheeger": _DOMAIN_UNREAD,
@@ -825,6 +840,8 @@ def solves(provenance):
 
 @pytest.mark.parametrize("argv", sorted(RECORD))
 def test_report_values_match_the_record(runs, argv):
+    # the value loop walks only the recorded keys; a key that a run adds is
+    # caught by test_report_keys_match_the_record
     rep, record = recorded_report(runs(*argv.split())[1]), copy.deepcopy(RECORD[argv])
     # solver telemetry by rule, not by value: the residuals within the
     # contract, LU solves spent exactly on the shift-invert path

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gaborlab.grid import ComplexField, MagnitudeField, TFGrid
+from gaborlab.grid import MagnitudeField, TFGrid
 from gaborlab.io import atomic_write_text, field_csv_text, write_report
 
 from oracles import read_field_csv
@@ -31,20 +31,13 @@ def fields(draw):
     (x_lo, x_hi, nx), (w_lo, w_hi, nw) = draw(axes()), draw(axes())
     grid = TFGrid(x_lo, x_hi, w_lo, w_hi, nx, nw)
     n = grid.n_nodes
-    if draw(st.booleans()):
-        values = draw(st.lists(st.complex_numbers(max_magnitude=1e300),
-                               min_size=n, max_size=n))
-        return ComplexField(grid, np.array(values).reshape(grid.shape))
+    # the writers take magnitude fields, all that the commands write
     values = draw(st.lists(st.floats(0.0, 1e300), min_size=n, max_size=n))
     return MagnitudeField(grid, np.array(values).reshape(grid.shape))
 
 
-def magnitudes(field):
-    return np.abs(field.values) if np.iscomplexobj(field.values) else field.values
-
-
 def reference_csv_text(field):
-    vals = magnitudes(field)
+    vals = field.values
     rows = ["x,omega,value"]
     for i, x in enumerate(field.grid.x_nodes()):
         for j, w in enumerate(field.grid.w_nodes()):
@@ -61,7 +54,7 @@ def test_field_csv_matches_reference_and_round_trips(tmp_path_factory, field):
     atomic_write_text(path, text)
     back = read_field_csv(path)
     assert back.grid == field.grid
-    assert back.values.tobytes() == magnitudes(field).tobytes()
+    assert back.values.tobytes() == field.values.tobytes()
 
 
 @pytest.mark.parametrize("bounds", [
@@ -77,7 +70,7 @@ def test_grid_rejects_repeated_or_decreasing_nodes(bounds):
 def test_report_spells_nonfinite_floats_as_strings(tmp_path):
     path = tmp_path / "report.json"
     write_report(path, {"a": float("nan"), "b": [np.inf, -np.inf, 1.5],
-                        "c": np.array([np.nan, 2.0]), "d": complex(np.inf, 0.0)})
+                        "c": np.array([np.nan, 2.0])})
     back = json.loads(path.read_text(), parse_constant=lambda token: pytest.fail(token))
     assert back == {"a": "NaN", "b": ["Infinity", "-Infinity", 1.5],
-                    "c": ["NaN", 2.0], "d": {"re": "Infinity", "im": 0.0}}
+                    "c": ["NaN", 2.0]}
