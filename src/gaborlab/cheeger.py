@@ -240,6 +240,10 @@ def dumbbell_weight(
         raise ValueError("bridge_height must lie in (0, 1]")
     if corridor_sigma is None:
         corridor_sigma = bump_sigma / 4.0
+    # the Gaussians divide by 2 sigma^2
+    for name, sigma in (("sigma", bump_sigma), ("corridor_sigma", corridor_sigma)):
+        if not np.finfo(float).tiny <= 2.0 * sigma * sigma < math.inf:
+            raise ValueError(f"{name}={sigma!r}: 2 {name}^2 is not a positive normal double")
     X, W = grid.mesh()
     s2 = 2.0 * bump_sigma**2
     vals = np.exp(-((X + separation / 2.0) ** 2 + W**2) / s2)

@@ -426,8 +426,10 @@ def cmd_dnorm(cfg):
     grid = _square_grid(cfg)
     fp, fm = gabor_fields((pair.plus, pair.minus), grid)
     diff = ComplexField(grid, (np.abs(fp.values) - np.abs(fm.values)).astype(complex))
-    value = measurement_norm_D(diff, cfg["p"], cfg["s"], cfg["k"],
-                               weight=np.abs(fp.values) ** cfg["p"])
+    # a weight past the double range is inf, which the s-moment check refuses
+    with np.errstate(over="ignore"):
+        weight = np.abs(fp.values) ** cfg["p"]
+    value = measurement_norm_D(diff, cfg["p"], cfg["s"], cfg["k"], weight=weight)
     print(f"D-norm = {value!r}")
     return 0, {"value": value}, None
 
@@ -540,7 +542,8 @@ def main(argv=None):
             code, payload, provenance = func(cfg)
         except SolverConvergenceError as exc:
             print(f"solver failure: {exc}", file=sys.stderr)
-            # residuals is None when ARPACK failed before any pair was checked
+            # residuals is None when Lanczos stopped at its step cap, before
+            # any pair was checked
             code, payload = 4, {"status": "solver_failure", "message": str(exc),
                                 "residuals": exc.residuals}
             provenance = {"eigenpair_residual_contract": RESIDUAL_CONTRACT}

@@ -215,6 +215,13 @@ def _measurement_norm_real(vals, grid, p, s, k, weight, mask):
     """measurement_norm_D of the real value array vals on grid, with weight
     an array; the arguments are taken as already checked."""
     area = grid.cell_area
+    # the s-moment first: an infinite one is refused before the L^p terms
+    # of the same power are formed
+    factor = _moment_factor(grid, s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        moment = _cell_lp(factor * vals, p, area, weight, mask)
+    if not math.isfinite(moment):
+        raise ValueError(f"moment exponent s={s!r}: the D-norm's s-moment is not finite")
     lp_pow = _cell_lp(vals, p, area, mask=mask)
     if k == 0:
         sobolev = lp_pow ** (1.0 / p)
@@ -222,11 +229,6 @@ def _measurement_norm_real(vals, grid, p, s, k, weight, mask):
         fx, fw = np.gradient(vals, grid.dx, grid.dw, edge_order=2)
         sobolev = (lp_pow + _cell_lp(fx, p, area, mask=mask)
                    + _cell_lp(fw, p, area, mask=mask)) ** (1.0 / p)
-    factor = _moment_factor(grid, s)
-    with np.errstate(over="ignore", invalid="ignore"):
-        moment = _cell_lp(factor * vals, p, area, weight, mask)
-    if not math.isfinite(moment):
-        raise ValueError(f"moment exponent s={s!r}: the D-norm's s-moment is not finite")
     return sobolev + lp_pow ** (1.0 / p) + moment
 
 

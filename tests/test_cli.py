@@ -395,7 +395,7 @@ def test_solver_failure_exits_4_with_a_report(tmp_path, capsys):
 @pytest.mark.parametrize("residuals", [None, [3e-3, 1e-12]])
 def test_every_spectral_command_reports_a_solver_failure(tmp_path, capsys, monkeypatch,
                                                           name, residuals):
-    # residuals is None when ARPACK fails before any pair is checked
+    # residuals is None when Lanczos fails before any pair is checked
     def fail(domain, m):
         raise SolverConvergenceError("residuals exceed the contract", residuals)
 
@@ -590,6 +590,12 @@ UNREAD = [
     (["poincare", "-R", 1e-300], None, "node masses w dx dw must be at least 2.23e-308"),
     (["variation", "--mode", "scaled", "--scale", 1e-300], None,
      "node masses w dx dw must be at least 2.23e-308"),
+    # a weight |G f|^p past the double range makes the s-moment infinite
+    (["dnorm", "--kind", "hpm", "-p", 16530, "-s", 1], None,
+     "moment exponent s=1.0: the D-norm's s-moment is not finite"),
+    # the dumbbell's Gaussians divide by 2 sigma^2, which underflows to 0
+    (["spectrum", "--weight", "dumbbell", "--sigma", 1e-300, "--bridge", 1e-300], None,
+     "sigma=1e-300: 2 sigma^2 is not a positive normal double"),
 ])
 def test_rejected_input_exits_1(tmp_path, capsys, args, config, message):
     if config is not None:

@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh
 
+from gaborlab import spectral
 from gaborlab.cli import main
 from gaborlab.counterexamples import gamma_threshold, make_fpm, root_set_pair
 from gaborlab.gabor import gabor_magnitude_field
@@ -329,13 +330,8 @@ def test_dense_branch_solves_graded_coarse_disks(n, floor_rel):
 
 
 @pytest.mark.parametrize("m", range(2, 9))
-def test_arpack_is_asked_for_the_wanted_pairs_only(monkeypatch, m):
-    asked, columns = [], []
-    eigsh, splu = spla.eigsh, spla.splu
-
-    def recording_eigsh(A, *args, **kwargs):
-        asked.append((kwargs["k"], kwargs["ncv"]))
-        return eigsh(A, *args, **kwargs)
+def test_lanczos_counts_every_lu_solve(monkeypatch, m):
+    columns, splu = [], spla.splu
 
     class CountingLU:
         def __init__(self, lu):
@@ -345,13 +341,11 @@ def test_arpack_is_asked_for_the_wanted_pairs_only(monkeypatch, m):
             columns.append(1 if b.ndim == 1 else b.shape[1])
             return self.lu.solve(b)
 
-    monkeypatch.setattr(spla, "eigsh", recording_eigsh)
     monkeypatch.setattr(spla, "splu",
                         lambda *args, **kwargs: CountingLU(splu(*args, **kwargs)))
     dec = solve_spectrum(gaussian_disk_domain(21, 2.0), m)
     assert dec.path == "shift-invert"
-    assert asked == [(m + 1, max(20, 4 * (m + 1)))]
-    # every ARPACK solve and every inverse-iteration column is counted
+    # one solve per Lanczos step, and the 2 (m + 1) inverse-iteration columns
     assert dec.lu_solves == sum(columns) > 2 * (m + 1)
 
 
@@ -366,7 +360,7 @@ def strip_domain(n_nodes):
 
 @pytest.mark.parametrize("m", range(2, 9))
 def test_dense_branch_ends_at_the_buffered_krylov_size(m):
-    # up to max(20, 4 (m + 4)) nodes go dense, one node more goes to ARPACK
+    # up to max(20, 4 (m + 4)) nodes go dense, one node more to shift-invert
     edge = max(20, 4 * (m + 4))
     for n_nodes, path in ((edge, "dense"), (edge + 1, "shift-invert")):
         dom = strip_domain(n_nodes)
@@ -395,21 +389,43 @@ def test_shift_invert_solve_is_reproducible():
     assert np.array_equal(first.eigenvectors, second.eigenvectors)
 
 
-def test_arpack_failure_is_a_solver_error(monkeypatch, tmp_path):
-    def no_convergence(A, *args, **kwargs):
-        n = A.shape[0]
-        raise spla.ArpackNoConvergence("forced", np.ones(1), np.ones((n, 1)))
+@pytest.mark.parametrize("n, R", [(21, 2.0), (31, 3.0), (41, 4.0), (51, 4.0)])
+def test_shift_invert_skips_no_eigenvalue(n, R):
+    # the disks' grid symmetry makes degenerate pairs (lambda_1 = lambda_2 and
+    # up), whose second copy single-vector Lanczos finds only through rounding;
+    # the residual contract alone would not notice a skipped copy
+    dom = gaussian_disk_domain(n, R)
+    S, mass = dom.operators()
+    exact = eigh(S.toarray(), np.diag(mass), eigvals_only=True)
+    for m in (5, 7, 9):
+        dec = solve_spectrum(dom, m)
+        lam = dec.eigenvalues
+        assert dec.path == "shift-invert"
+        assert abs(lam[0]) <= 1e-10 * exact[1]
+        np.testing.assert_allclose(lam[1:], exact[1 : m + 1], rtol=1e-10, atol=0)
 
-    monkeypatch.setattr(spla, "eigsh", no_convergence)
+
+def test_shift_invert_keeps_both_copies_of_each_pair():
+    # the 121^2 disk at the 1e-14 trim holds the pairs 1-2, 4-5 and 6-7 at
+    # m = 7; a single-vector Lanczos stopped there with 19.1021 in place of
+    # the second copy of lambda_6 = lambda_7 = 18.9337
+    lam = solve_spectrum(gaussian_disk_domain(121, 4.0, 1e-14), 7).eigenvalues
+    for i in (1, 4, 6):
+        assert lam[i + 1] == pytest.approx(lam[i], rel=1e-10)
+
+
+def test_lanczos_step_cap_is_a_solver_error(monkeypatch, tmp_path):
+    monkeypatch.setattr(spectral, "_LANCZOS_STEP_CAP", 5)
     dom = gaussian_disk_domain(21, 2.0)  # shift-invert Lanczos path
-    with pytest.raises(SolverConvergenceError, match="1 converged") as info:
+    with pytest.raises(SolverConvergenceError,
+                       match="4 pairs on 313 nodes in 5 steps \\(step cap 5\\)") as info:
         solve_spectrum(dom, 3)
     assert info.value.residuals is None
     assert main(["spectrum", "-n", "21", "-R", "2.0", "-m", "3",
                  "--out-dir", str(tmp_path)]) == 4
     payload = json.loads((tmp_path / "spectrum.json").read_text())["payload"]
     assert payload["status"] == "solver_failure"
-    assert "1 converged" in payload["message"]
+    assert "step cap 5" in payload["message"]
     assert payload["residuals"] is None
 
 
