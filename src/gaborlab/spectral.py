@@ -27,13 +27,11 @@ DEFAULT_FLOOR_REL = 1e-14
 # bound on ||S u - lambda M u|| / ||M u|| for every pair solve_spectrum returns
 RESIDUAL_CONTRACT = 1e-8
 # shift-invert Lanczos: the relative Ritz residual bound at which it stops,
-# the LU solves it may spend before the solve fails, the basis size at which
-# it restarts (at least 2 k + 8 for k pairs), and the basis rows allocated
-# together
+# the LU columns it may solve before the solve fails, and the basis size
+# within which it restarts (at least 2 k + 8 for k pairs)
 _LANCZOS_TOL = 1e-13
 _LANCZOS_STEP_CAP = 500
 _LANCZOS_NCV = 30
-_LANCZOS_BLOCK = 8
 
 
 class SolverConvergenceError(RuntimeError):
@@ -269,22 +267,25 @@ def _shift_invert_basis(domain, S, mass, k):
     return, before the caller allocates the eigenvectors it keeps.
 
     Lanczos runs on A = (S + c M)^-1 M, self-adjoint in the M inner product,
-    from a block of two start vectors (band Lanczos, Ruhe 1979): each step
-    is one LU solve on the oldest basis vector not yet mapped, two classical
-    Gram-Schmidt passes against every stored vector, and the remainder,
-    normalized, as the next basis vector.  A single start vector holds one
-    copy of a degenerate pair, and the other enters only through rounding,
-    so a single-vector Lanczos can stop before it does and skip an
-    eigenvalue; a block of two holds both from the start.  The iteration
-    stops once each of the k largest Ritz values theta_i has the residual
-    bound ||r_i|| <= _LANCZOS_TOL theta_i, or on an invariant subspace
-    (Ericsson and Ruhe 1980; Grimes, Lewis and Simon 1994).  A full basis
-    of ncv vectors restarts thick (Wu and Simon 2000): it keeps the Ritz
-    vectors of its largest Ritz values and the vectors not yet mapped.
+    from a block of two start vectors (band Lanczos, Ruhe 1979), in block
+    steps (Grimes, Lewis and Simon 1994): each step maps the two basis
+    vectors not yet mapped with one LU solve of an n x 2 block, takes both
+    results through two classical Gram-Schmidt passes against every stored
+    vector at once, then orthogonalizes each in turn against those appended
+    before it in the step, and appends it normalized.  A single start vector
+    holds one copy of a degenerate pair, and the other enters only through
+    rounding, so a single-vector Lanczos can stop before it does and skip an
+    eigenvalue; a block of two holds both from the start.  After each step
+    the iteration stops once each of the k largest Ritz values theta_i has
+    the residual bound ||r_i|| <= _LANCZOS_TOL theta_i, or on an invariant
+    subspace (Ericsson and Ruhe 1980).  A basis that cannot take the next
+    step's vectors within ncv restarts thick (Wu and Simon 2000): it keeps
+    the Ritz vectors of its largest Ritz values and the vectors not yet
+    mapped.
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
-    from scipy.linalg import eigh
+    from scipy.linalg.lapack import dsyevr
 
     n = len(mass)
     shift = _shift_scale(domain, S, mass)
@@ -294,93 +295,86 @@ def _shift_invert_basis(domain, S, mass, k):
     lu = spla.splu((S + shift * sp.diags(mass)).tocsc(),
                    permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
                    relax=1, panel_size=1, options={"SymmetricMode": True})
-    # the basis: at most ncv mu-orthonormal rows in blocks of _LANCZOS_BLOCK,
-    # grown as the steps need them and never copied whole; H[i, j], i >= j,
-    # is the coefficient of basis vector i in A v_j
+    # the basis: at most ncv mu-orthonormal rows, never copied whole; H[i, j],
+    # i >= j, is the coefficient of basis vector i in A v_j (only the lower
+    # triangle is read)
     ncv = min(n, max(_LANCZOS_NCV, 2 * k + 8))
-    blocks, H = [], np.zeros((ncv, ncv))
+    V, H = np.empty((ncv, n)), np.zeros((ncv, ncv))
 
-    def row(i):
-        return blocks[i // _LANCZOS_BLOCK][i % _LANCZOS_BLOCK]
-
-    def rows(count):
-        full, part = divmod(count, _LANCZOS_BLOCK)
-        return blocks[:full] + ([blocks[full][:part]] if part else [])
-
-    def orthogonalize(w, count):
-        # w less its M-projection on the first count basis vectors, and the
-        # projection's coefficients
-        coeffs = np.zeros(count)
-        for _ in range(2):
-            mw = mass * w
-            for lo, blk in zip(range(0, count, _LANCZOS_BLOCK), rows(count)):
-                h = blk @ mw
-                w -= h @ blk
-                coeffs[lo:lo + len(h)] += h
-        return w, coeffs
-
-    def append(w, count):
-        if count == len(blocks) * _LANCZOS_BLOCK:
-            blocks.append(np.empty((_LANCZOS_BLOCK, n)))
-        row(count)[:] = w / math.sqrt(w @ (mass * w))
+    def extend(W):
+        # append the rows of W in turn, each less its M-projection (two
+        # classical passes) on the rows appended before it, if any, and
+        # normalized; R[i, t] is the coefficient of the i-th appended row in
+        # row t of W
+        nonlocal stored
+        first, R = stored, np.zeros((len(W), len(W)))
+        for t, w in enumerate(W):
+            if stored > first:
+                for _ in range(2):
+                    h = V[first:stored] @ (mass * w)
+                    w -= h @ V[first:stored]
+                    R[:stored - first, t] += h
+            rho = math.sqrt(w @ (mass * w))
+            if rho > 0.0 and stored < n:
+                R[stored - first, t] = rho
+                V[stored] = w / rho
+                stored += 1
+        return R[:stored - first]
 
     def ritz(count):
         # the count largest Ritz values of the mapped vectors, and their
-        # coordinates
-        return eigh(H[:mapped, :mapped], lower=True, check_finite=False,
-                    subset_by_index=[mapped - count, mapped - 1])
+        # coordinates, from LAPACK's syevr without eigh's wrapper
+        theta, Y, _, _, info = dsyevr(H[:mapped, :mapped], range="I", lower=1,
+                                      il=mapped - count + 1, iu=mapped)
+        if info:
+            raise SolverConvergenceError(f"LAPACK syevr failed with info {info}")
+        return theta[:count], Y
 
-    stored = mapped = 0
-    for x in np.random.default_rng(0).standard_normal((2, n)):
-        append(orthogonalize(x, stored)[0], stored)
-        stored += 1
+    stored = mapped = steps = 0
+    extend(np.random.default_rng(0).standard_normal((2, n)))
     converged = False
-    for steps in range(1, _LANCZOS_STEP_CAP + 1):
-        if stored == ncv < n:
+    while not converged and mapped < stored and steps < _LANCZOS_STEP_CAP:
+        if ncv < n and 2 * stored - mapped > ncv:
             # the kept Ritz vectors overwrite the first rows, 512 nodes at a
             # time so that the temporaries stay small, and the vectors not
-            # yet mapped follow them; the blocks stay for the rows to come
+            # yet mapped follow them
             keep = k + (ncv - k) // 2
             theta, Y = ritz(keep)
             for lo in range(0, n, 512):
-                nodes = slice(lo, lo + 512)
-                new = Y.T @ np.concatenate([blk[:, nodes] for blk in rows(mapped)])
-                for i, blk in zip(range(0, keep, _LANCZOS_BLOCK), rows(keep)):
-                    blk[:, nodes] = new[i:i + len(blk)]
-            for i in range(mapped, stored):
-                row(keep + i - mapped)[:] = row(i)
+                V[:keep, lo:lo + 512] = Y.T @ V[:mapped, lo:lo + 512]
+            V[keep:keep + stored - mapped] = V[mapped:stored]
             coupling = H[mapped:stored, :mapped] @ Y
             H[:] = 0.0
             H[range(keep), range(keep)] = theta
             H[keep:keep + stored - mapped, :keep] = coupling
             stored, mapped = keep + stored - mapped, keep
-        w, coeffs = orthogonalize(lu.solve(mass * row(mapped)), stored)
-        H[mapped:stored, mapped] = coeffs[mapped:]
-        rho = math.sqrt(w @ (mass * w))
-        if rho > 0.0 and stored < n:
-            H[stored, mapped] = rho
-            append(w, stored)
-            stored += 1
-        mapped += 1
+        # the step cap counts LU columns, so a step may be cut to one
+        cols = slice(mapped, min(stored, mapped + _LANCZOS_STEP_CAP - steps))
+        W = lu.solve((mass * V[cols]).T).T
+        steps += len(W)
+        for _ in range(2):  # H's columns from mapped on are still zero
+            C = V[:stored] @ (mass * W).T
+            W -= C.T @ V[:stored]
+            H[mapped:stored, cols] += C[mapped:]
+        R = extend(W)
+        H[stored - len(R):stored, cols] = R
+        mapped = cols.stop
         if mapped >= k:
             theta, Y = ritz(k)
             # each Ritz residual lies on the basis vectors not yet mapped
             res = np.linalg.norm(H[mapped:stored, :mapped] @ Y, axis=0)
             converged = bool(np.all(res <= _LANCZOS_TOL * theta))
-        if converged or stored == mapped:
-            break
     if not converged:
         raise SolverConvergenceError(
             f"shift-invert Lanczos did not converge for {k} pairs on {n} nodes"
             f" in {steps} steps (step cap {_LANCZOS_STEP_CAP})"
         )
-    # Ritz vectors block by block, then two block inverse-iteration steps
-    # with the same LU: trimmed weights still span up to 1/floor_rel, and
-    # the refinement brings the block's residuals under the contract
-    basis = np.zeros((n, k))
-    for lo, blk in zip(range(0, mapped, _LANCZOS_BLOCK), rows(mapped)):
-        basis += blk.T @ Y[lo:lo + len(blk)]
-    del blocks
+    # the Ritz vectors, then two block inverse-iteration steps with the same
+    # LU: trimmed weights still span up to 1/floor_rel, and the refinement
+    # brings the block's residuals under the contract.  No view of the basis
+    # may outlive it, or its ncv x n rows stay allocated through the solves
+    basis = V[:mapped].T @ Y
+    del V
     for _ in range(2):
         basis = lu.solve(mass[:, None] * basis)
     return basis, steps + 2 * k

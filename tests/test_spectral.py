@@ -343,10 +343,46 @@ def test_lanczos_counts_every_lu_solve(monkeypatch, m):
 
     monkeypatch.setattr(spla, "splu",
                         lambda *args, **kwargs: CountingLU(splu(*args, **kwargs)))
-    dec = solve_spectrum(gaussian_disk_domain(21, 2.0), m)
+    dom = gaussian_disk_domain(21, 2.0)
+    dec = solve_spectrum(dom, m)
     assert dec.path == "shift-invert"
-    # one solve per Lanczos step, and the 2 (m + 1) inverse-iteration columns
+    # one two-column solve per Lanczos block step, then the two
+    # inverse-iteration solves of m + 1 columns
+    krylov, polish = columns[:-2], columns[-2:]
+    assert krylov == [2] * len(krylov) and polish == [m + 1] * 2
     assert dec.lu_solves == sum(columns) > 2 * (m + 1)
+    # the step cap counts columns: the step that reaches it is cut short
+    columns.clear()
+    monkeypatch.setattr(spectral, "_LANCZOS_STEP_CAP", 5)
+    with pytest.raises(SolverConvergenceError, match="in 5 steps"):
+        solve_spectrum(dom, m)
+    assert columns == [2, 2, 1]
+
+
+def test_lanczos_frees_its_basis_before_the_inverse_iteration():
+    import tracemalloc
+
+    grid = TFGrid(-4.0, 4.0, -4.0, 4.0, 101, 101)
+    mag = gabor_magnitude_field(make_fpm(0.5, 1.0).plus, grid)
+    dom = build_weighted_domain(mag, 2.0, disk_mask(grid, 4.0), 1e-14)
+    n, m = dom.n_nodes, 5
+    solve_spectrum(dom, m)  # assembles the pencil and imports scipy's modules
+    tracemalloc.start()
+    try:
+        dec = solve_spectrum(dom, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dec.path == "shift-invert" and n == 6002
+    # the peak in doubles per node, with b = m + 1 = 6 and ncv = 30 basis rows:
+    # - Lanczos: the ncv rows, their Ritz combination (b) and the last step's
+    #   two columns, ncv + b + 2 = 38;
+    # - inverse iteration, the basis freed: three n x b blocks, 18;
+    # - Rayleigh-Ritz and the residual check: at most six n x b blocks, 36.
+    # A view of the basis kept into the inverse iteration makes it
+    # ncv + 3 b + 2 = 50; the bound ncv + 2 b = 42 lies between
+    ncv = max(spectral._LANCZOS_NCV, 2 * (m + 1) + 8)
+    assert peak < 8 * n * (ncv + 2 * (m + 1))
 
 
 def strip_domain(n_nodes):
@@ -676,7 +712,7 @@ def small_domains(draw):
 
 def test_graded_domain_within_contract_only_through_the_polish():
     # a small_domains draw: 73 nodes with a weight spread of 1.7e17.  The
-    # solve meets the contract at 5.3e-10; without the two inverse-iteration
+    # solve meets the contract at 7.0e-9; without the two inverse-iteration
     # steps after Lanczos it raises SolverConvergenceError
     dom = graded_domain(20, 10, 0.25396333303295804, 3252015380, 73,
                         (-1.9356211308959501, 0.9608513608778928), 0.738172644321045,
