@@ -38,7 +38,8 @@ class SolverConvergenceError(RuntimeError):
     """Eigensolver failed to converge; carries the residual norms seen.
 
     residuals is None when the failure came before any pair was checked
-    (the shift-invert Lanczos reached its step cap).
+    (the shift-invert Lanczos reached its step cap, or LAPACK failed on its
+    projected matrix).
     """
 
     def __init__(self, message, residuals=None):
