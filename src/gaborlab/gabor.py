@@ -39,22 +39,16 @@ def gabor_evals(signals, x, w):
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
     shape = np.broadcast(x, w).shape
-    tmp, term = np.empty(shape), np.empty(shape, dtype=complex)
+    term = np.empty(shape, dtype=complex)
     exps = {}  # (u, b): (e^z, (mask, z) where e^z is subnormal, or None)
     for u, b in dict.fromkeys((a.shift, a.modulation) for f in signals for a in f.atoms):
-        # the exponent is filled through its real and imaginary views with
-        # the floating-point operations of the complex expression
+        # the exponent by parts, with the bits of the slower complex expression
         #     -2j pi u ws - 1j pi xs ws - pi (xs^2 + ws^2) / 2
         z = np.empty(shape, dtype=complex)
-        re, im = z.real, z.imag
         xs, ws = x - u, w - b
-        np.add(xs * xs, ws * ws, out=re)
-        re *= np.pi
-        re /= -2.0
-        np.multiply(-2.0 * np.pi * u, ws, out=im)
-        np.multiply(np.pi * xs, ws, out=tmp)
-        im -= tmp
-        low = re < _LOG_TINY
+        z.real = (xs * xs + ws * ws) * np.pi / -2.0
+        z.imag = -2.0 * np.pi * u * ws - np.pi * xs * ws
+        low = z.real < _LOG_TINY
         deep = (low, z[low]) if low.any() else None
         exps[u, b] = np.exp(z, out=z), deep
     outs = []

@@ -110,4 +110,4 @@ class MagnitudeField:
 def disk_mask(grid, radius):
     """Nodes within radius of the origin; the squared node coordinates are
     broadcast over the axes: no mesh arrays."""
-    return (grid.x_nodes() ** 2)[:, None] + grid.w_nodes() ** 2 <= radius**2
+    return (grid.x_nodes() ** 2)[:, None] + grid.w_nodes() ** 2 <= radius * radius

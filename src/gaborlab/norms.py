@@ -104,7 +104,8 @@ def _phase_search(objective):
     low sample, is refined too.  Each refinement starts from the scan values
     at its bracket's ends and stops at the objective's rounding floor (see
     _brent_min).  The best sample or refinement wins, the first found on
-    ties."""
+    ties.  alpha is a sample k 2pi/_SCAN (k < _SCAN) or a refinement % 2pi:
+    in [0, 2pi), or 2pi if the refinement lies within half an ulp below 0."""
     step = 2.0 * math.pi / _SCAN
     vals = [objective(k * step) for k in range(_SCAN)]
     k_best = min(range(_SCAN), key=vals.__getitem__)
@@ -161,7 +162,7 @@ def global_phase_distance(f: GaussianSum, g: GaussianSum, grid, p=2.0):
         raise ValueError("p must be >= 1")
     Ff, Fg = gabor_fields((f, g), grid)
     alpha, val = _aligned_phase_min(Ff.values, Fg.values, p, grid.cell_area)
-    return alpha % (2.0 * math.pi), val ** (1.0 / p)
+    return alpha, val ** (1.0 / p)
 
 
 def measurement_norm_D(field, p, s, k, weight):
@@ -280,7 +281,6 @@ def stability_probe(
         mag_f.values - np.abs(Fg.values), grid, p, s, 1, mag_f.values**p, mask,
     )
 
-    alpha = alpha % (2 * math.pi)
     if denominator > 0.0:
         return ProbeReport(alpha, numerator, denominator, numerator / denominator)
     # denominator identically zero: same magnitudes on Omega to rounding

@@ -30,7 +30,7 @@ from gaborlab.counterexamples import (
 from gaborlab.gabor import gabor_eval, gabor_magnitude_field
 from gaborlab.grid import TFGrid, disk_mask
 from gaborlab.norms import stability_probe
-from gaborlab.signals import GaussianSum, gaussian
+from gaborlab.signals import GaussianSum, gaussian, signal_phase_distance
 from gaborlab.spectral import (
     assemble_operators,
     build_weighted_domain,
@@ -365,3 +365,42 @@ def test_criterion_11_samples_lose_uniqueness_stability_is_kept():
     table = "; ".join(f"gamma {g:.3g}: probe {p:.4f}, poincare {c:.4f}"
                       for g, p, c in zip(gammas, probes, poincs))
     report(11, ok, f"verified at {sum(verified)}/{len(gammas)} gammas; {table}")
+
+
+def test_criterion_12_at_the_gaussian_samples_keep_uniqueness_lose_stability():
+    # f_gamma = phi + i gamma T_{1/a} phi, the fpm plus signal, at distance
+    # d ~ gamma from phi.  On the rows w in aZ the cross term of |G f_gamma|^2
+    # has no real part, so there |G f_gamma|^2 = |G phi|^2 + gamma^2
+    # |G T_{1/a} phi|^2: the misfit on aZ^2 is second order in gamma, and
+    # its ratio to d falls towards 0.  Over the whole plane the misfit stays
+    # first order, with ratio -> 1/sqrt(2) (sin^2 averages 1/2 off the rows).
+    # The misfit never vanishes: the samples still tell f_gamma from phi.
+    a, h = 0.5, 0.02
+    gammas = (1e-1, 1e-2, 1e-4, 1e-6, 1e-8)
+    phi, shifted = gaussian(), GaussianSum([(1.0, 1.0 / a, 0.0)])
+    # aZ^2 with |x| <= 20 and |w| <= 8; the h-grid over [-12, 12] x [-6, 6]
+    xs, ws = a * np.arange(-40, 41)[:, None], a * np.arange(-16, 17)[None, :]
+    xp, wp = np.linspace(-12.0, 12.0, 1201)[:, None], np.linspace(-6.0, 6.0, 601)[None, :]
+    phi_s, shifted_s = np.abs(gabor_eval(phi, xs, ws)), np.abs(gabor_eval(shifted, xs, ws))
+    phi_p = np.abs(gabor_eval(phi, xp, wp))
+    identity_ok, identity_err, sampled, plane = True, 0.0, [], []
+    for gamma in gammas:
+        f = make_fpm(a, gamma).plus
+        d = signal_phase_distance(f, phi)
+        f_s = np.abs(gabor_eval(f, xs, ws))
+        rows = phi_s**2 + gamma**2 * shifted_s**2
+        gap = np.abs(f_s**2 - rows)
+        # both sides are 0 where the Gaussians underflow
+        identity_ok = identity_ok and bool(np.all(gap <= 1e-12 * rows))
+        identity_err = max(identity_err, float(np.max(gap[rows > 0] / rows[rows > 0])))
+        sampled.append(math.sqrt(float(np.sum((f_s - phi_s) ** 2)) * a * a) / d)
+        misfit = np.abs(gabor_eval(f, xp, wp)) - phi_p
+        plane.append(math.sqrt(float(np.sum(misfit**2)) * h * h) / d)
+    ok = identity_ok
+    ok = ok and all(nxt < prev for prev, nxt in zip(sampled, sampled[1:])) and sampled[-1] < 0.01
+    ok = ok and all(r > 0.0 for r in sampled + plane)
+    ok = ok and all(abs(r * math.sqrt(2.0) - 1.0) <= 0.01
+                    for gamma, r in zip(gammas, plane) if gamma <= 1e-6)
+    table = "; ".join(f"gamma {g:.0e}: sampled {s:.3g}, plane {c:.4f}"
+                      for g, s, c in zip(gammas, sampled, plane))
+    report(12, ok, f"row identity to {identity_err:.1e}; misfit / d: {table}")

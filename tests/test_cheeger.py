@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gaborlab.cheeger import (
@@ -58,6 +58,29 @@ def test_circle_beyond_the_mask_is_refused_before_sampling():
     dom = dumbbell_weight(3.0, 0.1, 0.35, grid)
     with pytest.raises(InadmissibleCutError):
         cut_ratio(dom, Cut("circle", 1e7))
+
+
+@st.composite
+def mask_grids(draw):
+    x0, w0 = draw(st.floats(-10.0, 5.0)), draw(st.floats(-10.0, 5.0))
+    return TFGrid(x0, x0 + draw(st.floats(0.1, 15.0)), w0, w0 + draw(st.floats(0.1, 15.0)),
+                  draw(st.integers(2, 40)), draw(st.integers(2, 40)))
+
+
+# Python's r**2 rounds one ulp below r * r at r = 3.8065733325547657: a mask
+# built with it drops the nodes (+-r, 0) of this grid, which lie on the circle
+@settings(max_examples=100, deadline=None)
+@example(TFGrid(-3.8065733325547657, 3.8065733325547657, -1.0, 1.0, 3, 3), 2, 1)
+@given(mask_grids(), st.integers(0, 39), st.integers(0, 39))
+def test_disk_mask_is_the_closed_disk_the_circle_cut_counts(grid, i, j):
+    # the radius is a node's distance from the origin, where rounding decides
+    xs, ws = grid.x_nodes(), grid.w_nodes()
+    x, w = xs[i % len(xs)], ws[j % len(ws)]
+    r = math.sqrt(x * x + w * w)
+    mask = disk_mask(grid, r)
+    assert np.array_equal(mask, (xs * xs)[:, None] + ws * ws <= r * r)
+    inner, _ = _circle_side_masses(weighted_domain_from_values(grid, np.ones(grid.shape)), r)
+    assert inner == mask.sum() * grid.cell_area
 
 
 @pytest.mark.parametrize("radius", [1e200, np.float64(1e200), 1.7e308])

@@ -409,7 +409,7 @@ def test_dense_branch_ends_at_the_buffered_krylov_size(m):
 
 def test_gaussian_disk_splits_no_cluster_at_m5():
     # the 121^2 disk of the stability benchmark: lambda_1 = lambda_2 = 2 pi
-    # is a pair by the grid's symmetry, and ARPACK is asked for 6 pairs only
+    # is a pair by the grid's symmetry, and the Lanczos is asked for 6 pairs only
     dec = solve_spectrum(gaussian_disk_domain(121, 4.0), 5)
     lam = dec.eigenvalues
     assert dec.path == "shift-invert"
