@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import TFGrid
+from .grid import DEFAULT_FLOOR_REL, TFGrid
 from .spectral import (
-    DEFAULT_FLOOR_REL,
     SpectralDecomposition,
     WeightedDomain,
     weighted_domain_from_values,

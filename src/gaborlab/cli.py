@@ -18,14 +18,10 @@ import sys
 
 import numpy as np
 
+# every command reads these; the solver (spectral), the cut scans (cheeger)
+# and the norms are imported by the commands that call them, so that a
+# command loads only what it runs
 from . import io
-from .cheeger import (
-    cheeger_upper_bound,
-    circle_cut_family,
-    circle_point_count,
-    dumbbell_weight,
-    vertical_cut_family,
-)
 from .counterexamples import (
     AGREEMENT,
     CounterexamplePair,
@@ -40,21 +36,8 @@ from .counterexamples import (
     verify_pair,
 )
 from .gabor import gabor_fields, gabor_magnitude_field
-from .grid import WORK_BUDGET, ComplexField, TFGrid, disk_mask
-from .norms import measurement_norm_D, stability_probe
+from .grid import DEFAULT_FLOOR_REL, WORK_BUDGET, ComplexField, TFGrid, disk_mask
 from .signals import GaussianSum, gaussian
-from .spectral import (
-    DEFAULT_FLOOR_REL,
-    RESIDUAL_CONTRACT,
-    SolverConvergenceError,
-    WeightedDomain,
-    build_weighted_domain,
-    poincare_estimate,
-    refinement_check,
-    solve_spectrum,
-    variation_bound_check,
-    weighted_domain_from_values,
-)
 
 MASS_99_RADIUS = math.sqrt(math.log(100.0) / math.pi)
 
@@ -264,6 +247,7 @@ def _square_grid(cfg):
 
 def _build_domain(cfg):
     if cfg["weight"] == "dumbbell":
+        from .cheeger import dumbbell_weight
         half_w = max(4.0 * cfg["sigma"], 1.5)
         half_x = cfg["separation"] / 2.0 + 3.0 * cfg["sigma"]
         grid = TFGrid(-half_x, half_x, -half_w, half_w,
@@ -273,6 +257,7 @@ def _build_domain(cfg):
     grid = _square_grid(cfg)
     sig = gaussian() if cfg["weight"] == "gaussian" else _make_pair(cfg["weight"], cfg).plus
     mag = gabor_magnitude_field(sig, grid)
+    from .spectral import build_weighted_domain
     return build_weighted_domain(mag, cfg["p"], disk_mask(grid, cfg["R"]), cfg["floor_rel"])
 
 
@@ -290,6 +275,7 @@ def _domain_record(domain, dec):
 
 
 def _provenance(domain, dec):
+    from .spectral import RESIDUAL_CONTRACT
     return {
         **_domain_record(domain, dec),
         "eigenpair_residual_contract": RESIDUAL_CONTRACT,
@@ -302,6 +288,7 @@ _SPECTRUM_DEFAULTS = dict(_DOMAIN_DEFAULTS, m=5)
 
 
 def cmd_spectrum(cfg):
+    from .spectral import solve_spectrum
     domain = _build_domain(cfg)
     dec = solve_spectrum(domain, cfg["m"])
     print("eigenvalues:", " ".join(f"{v:.6g}" for v in dec.eigenvalues))
@@ -312,6 +299,7 @@ def cmd_spectrum(cfg):
 # more pairs change only its last bits and the solve's cost, so poincare
 # solves for two, as cheeger does
 def cmd_poincare(cfg):
+    from .spectral import poincare_estimate, solve_spectrum
     domain = _build_domain(cfg)
     dec = solve_spectrum(domain, 2)
     est = poincare_estimate(dec)
@@ -329,6 +317,8 @@ _VARIATION_DEFAULTS = dict(
 
 
 def cmd_variation(cfg):
+    from .spectral import (WeightedDomain, solve_spectrum, variation_bound_check,
+                           weighted_domain_from_values)
     cfg = dict(cfg, p=2.0)
     dom_a = _build_domain(dict(cfg, weight="gaussian"))
     disk = dom_a.mask | dom_a.trimmed
@@ -357,6 +347,7 @@ _REFINE_DEFAULTS = dict(
 def cmd_refine(cfg):
     if cfg["n_fields"] < 1:
         raise ValueError("n_fields must be at least 1")
+    from .spectral import refinement_check, solve_spectrum
     domain = _build_domain(cfg)
     dec = solve_spectrum(domain, cfg["m"])
     rng = np.random.default_rng(cfg["seed"])
@@ -377,6 +368,9 @@ _CHEEGER_DEFAULTS = dict(
 def cmd_cheeger(cfg):
     if not 1 <= cfg["cut_count"] <= WORK_BUDGET:
         raise ValueError(f"cut_count must be at least 1 and at most {WORK_BUDGET:.0e}")
+    from .cheeger import (cheeger_upper_bound, circle_cut_family, circle_point_count,
+                          vertical_cut_family)
+    from .spectral import solve_spectrum
     domain = _build_domain(cfg)
     grid, count = domain.grid, cfg["cut_count"]
     rmax = min(grid.x_max, grid.w_max)
@@ -409,6 +403,7 @@ _PROBE_DEFAULTS = dict(
 
 
 def cmd_probe(cfg):
+    from .norms import stability_probe
     pair = _make_pair(cfg["kind"], cfg)
     grid = _square_grid(cfg)
     mask = disk_mask(grid, cfg["R"])
@@ -422,6 +417,7 @@ _DNORM_DEFAULTS = dict(
 
 
 def cmd_dnorm(cfg):
+    from .norms import measurement_norm_D
     pair = _make_pair(cfg["kind"], cfg)
     grid = _square_grid(cfg)
     fp, fm = gabor_fields((pair.plus, pair.minus), grid)
@@ -477,12 +473,16 @@ def _settable(table):
     return [key for key in table if key != "preset"]
 
 
-def build_parser():
+def build_parser(command=None):
+    """The parser of every command, or with a command named, one that lists
+    every command and gives options to that one alone."""
     parser = _Parser(prog="gaborlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, table, _) in _COMMANDS.items():
         # flags left off the command line stay out of the namespace
         p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        if command not in (None, name):
+            continue
         p.add_argument("--config")
         for key in _settable(table):
             flag = f"-{key}" if len(key) == 1 else "--" + key.replace("_", "-")
@@ -532,15 +532,28 @@ def _resolve(table, path, given):
     return cfg
 
 
+def _solver_errors():
+    """What main catches as a failed solve: SolverConvergenceError once
+    spectral is loaded, and nothing before, when no solve can have run, so
+    that a command that solves nothing does not load the solver."""
+    spectral = sys.modules.get(f"{__package__}.spectral")
+    return spectral.SolverConvergenceError if spectral else ()
+
+
 def main(argv=None):
-    args = vars(build_parser().parse_args(argv))
+    argv = sys.argv[1:] if argv is None else argv
+    # the top-level parser's only option is --help, so the first word that
+    # is no option names the command
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    args = vars(build_parser(command).parse_args(argv))
     func, table, command = _COMMANDS[args.pop("command")]
     path = args.pop("config", None)
     try:
         cfg = _resolve(table, path, args)
         try:
             code, payload, provenance = func(cfg)
-        except SolverConvergenceError as exc:
+        except _solver_errors() as exc:
+            from .spectral import RESIDUAL_CONTRACT
             print(f"solver failure: {exc}", file=sys.stderr)
             # residuals is None when Lanczos stopped at its step cap, before
             # any pair was checked

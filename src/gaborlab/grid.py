@@ -11,6 +11,9 @@ import numpy as np
 WORK_BUDGET = 10**7
 # the largest |coordinate| of a grid extent or an atom: every square stays finite
 COORD_BOUND = 1e150
+# the default trim level of a weighted domain, relative to its weight's maximum;
+# here and not in spectral, so that a command's defaults read it without the solver
+DEFAULT_FLOOR_REL = 1e-14
 
 
 @dataclass(frozen=True)

@@ -271,6 +271,15 @@ def stability_probe(
         raise ValueError("mask must be nonempty")
 
     Ff, Fg = gabor_fields((f, g), grid)
+    # each evaluation of the alignment sums one term |G f - e^{-i alpha} G g|^p
+    # <= (2 top)^p per mask node; refused here, a sum past the double range
+    # would overflow inside the scan
+    top = max(np.abs(Ff.values[mask]).max(), np.abs(Fg.values[mask]).max())
+    nodes = np.count_nonzero(mask)
+    with np.errstate(over="ignore"):
+        if not np.isfinite((2.0 * top) ** p * nodes):
+            raise ValueError(f"exponent p={p!r}: the alignment's terms, up to (2 * {top:.3g})^p"
+                             f" on each of {nodes} nodes, overflow the double range")
     area = grid.cell_area
     alpha, val = _aligned_phase_min(Ff.values[mask], Fg.values[mask], p, area)
     numerator = val ** (1.0 / p)

@@ -21,9 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import TFGrid
+from .grid import DEFAULT_FLOOR_REL, TFGrid
 
-DEFAULT_FLOOR_REL = 1e-14
 # bound on ||S u - lambda M u|| / ||M u|| for every pair solve_spectrum returns
 RESIDUAL_CONTRACT = 1e-8
 # shift-invert Lanczos: the relative Ritz residual bound at which it stops,
@@ -113,6 +112,11 @@ def weighted_domain_from_values(grid, values, mask=None,
         raise ValueError("floor_rel must lie in (0, 1e-6]")
     values = np.asarray(values, dtype=float)
     mask = np.ones(grid.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    # an inf or NaN on the mask would set the trim level; refused before the trim
+    overflowed = mask & ~np.isfinite(values)
+    if overflowed.any():
+        raise ValueError(f"weights on the mask must be finite: the weight overflows on"
+                         f" {overflowed.sum()} of the mask's {mask.sum()} nodes")
     level = floor_rel * float(values.max())
     kept = mask & (values >= level)
     try:

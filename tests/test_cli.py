@@ -349,22 +349,26 @@ def test_variation_compares_both_weights_on_the_nodes_both_keep(tmp_path):
     assert rep["payload"]["paper_ok"] and rep["payload"]["spectral_ok"]
 
 
-def test_reports_carry_the_library_versions(tmp_path):
-    # a fresh process, so that scipy is loaded only by the spectrum solve
-    # that follows verify; verify's report must not name it
+def run_fresh(code):
+    """Run code in a fresh interpreter that imports the package from src/."""
     src = Path(__file__).resolve().parents[1] / "src"
-    code = (
-        "from gaborlab.cli import main\n"
-        f"out = {str(tmp_path)!r}\n"
-        "assert main(['verify', '--out-dir', out]) == 0\n"
-        "assert main(['spectrum', '-n', '41', '--out-dir', out]) == 0\n"
-    )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(src), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_reports_carry_the_library_versions(tmp_path):
+    # a fresh process, so that scipy is loaded only by the spectrum solve
+    # that follows verify; verify's report must not name it
+    run_fresh(
+        "from gaborlab.cli import main\n"
+        f"out = {str(tmp_path)!r}\n"
+        "assert main(['verify', '--out-dir', out]) == 0\n"
+        "assert main(['spectrum', '-n', '41', '--out-dir', out]) == 0\n"
+    )
     import scipy
 
     base = {"python": platform.python_version(), "numpy": np.__version__}
@@ -372,6 +376,54 @@ def test_reports_carry_the_library_versions(tmp_path):
     assert verify["libraries"] == base
     spectrum = json.loads((tmp_path / "spectrum.json").read_text())
     assert spectrum["libraries"] == dict(base, scipy=scipy.__version__)
+
+
+def test_import_loads_no_submodule_until_a_name_is_read():
+    run_fresh(
+        "import sys\n"
+        "import gaborlab\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'gaborlab'))\n"
+        "assert loaded() == ['gaborlab'], loaded()\n"
+        "assert 'make_fpm' in gaborlab.__all__ and 'make_fpm' in dir(gaborlab)\n"
+        "assert gaborlab.make_fpm.__module__ == 'gaborlab.counterexamples'\n"
+        "assert 'gaborlab.counterexamples' in sys.modules\n"
+        "assert 'gaborlab.spectral' not in sys.modules, loaded()\n"
+        "try:\n"
+        "    gaborlab.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    assert 'no_such_name' in str(exc), exc\n"
+        "else:\n"
+        "    raise AssertionError('an unknown name resolved')\n"
+    )
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    (["threshold"], ("spectral", "cheeger", "norms")),
+    (["spectrum", "-n", "41"], ("cheeger", "norms")),
+])
+def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, unloaded):
+    run_fresh(
+        "import sys\n"
+        "from gaborlab.cli import main\n"
+        f"assert main({[*argv, '--out-dir', str(tmp_path)]!r}) == 0\n"
+        f"loaded = [m for m in {unloaded!r} if 'gaborlab.' + m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+
+
+def test_reports_keep_the_umask_mode(tmp_path):
+    # the writers' temporary file would otherwise keep mkstemp's 0600
+    for umask in (0o022, 0o077, 0o002):
+        out = tmp_path / f"{umask:03o}"
+        old = os.umask(umask)
+        try:
+            assert run(["threshold", "--out-dir", out]) == 0
+            (out / "plain").touch()
+        finally:
+            os.umask(old)
+        for name in ("threshold.json", "plain"):
+            assert (out / name).stat().st_mode & 0o777 == 0o666 & ~umask, name
 
 
 def test_solver_failure_exits_4_with_a_report(tmp_path, capsys):
@@ -399,7 +451,7 @@ def test_every_spectral_command_reports_a_solver_failure(tmp_path, capsys, monke
     def fail(domain, m):
         raise SolverConvergenceError("residuals exceed the contract", residuals)
 
-    monkeypatch.setattr("gaborlab.cli.solve_spectrum", fail)
+    # the commands import solve_spectrum from spectral when they run
     monkeypatch.setattr("gaborlab.spectral.solve_spectrum", fail)
     assert run([name, "--out-dir", tmp_path]) == 4
     assert "solver failure: residuals exceed the contract" in capsys.readouterr().err
@@ -596,6 +648,15 @@ UNREAD = [
     # the dumbbell's Gaussians divide by 2 sigma^2, which underflows to 0
     (["spectrum", "--weight", "dumbbell", "--sigma", 1e-300, "--bridge", 1e-300], None,
      "sigma=1e-300: 2 sigma^2 is not a positive normal double"),
+    # |G f| reaches 2.5e191 on the probe grid: its 1.9-th power is past the
+    # double range, refused before the alignment scan overflows
+    (["probe", "--kind", "hpm", "-a", 0.035, "-p", 1.9], None,
+     "exponent p=1.9: the alignment's terms, up to (2 * 2.54e+191)^p on each of 11285"
+     " nodes, overflow the double range"),
+    # |G f|^2 overflows on most of the disk, refused before it sets the trim level
+    (["spectrum", "--weight", "hpm", "-a", 0.035, "-n", 41], None,
+     "weights on the mask must be finite: the weight overflows on 862 of the mask's"
+     " 1253 nodes"),
 ])
 def test_rejected_input_exits_1(tmp_path, capsys, args, config, message):
     if config is not None:
@@ -638,8 +699,8 @@ def test_threshold_bad_a_exits_1(tmp_path, capsys, a, message):
     assert not (tmp_path / "out").exists()
 
 
-def subparsers():
-    parser = build_parser()
+def subparsers(command=None):
+    parser = build_parser(command)
     action = next(a for a in parser._actions
                   if isinstance(a, argparse._SubParsersAction))
     return action.choices
@@ -687,6 +748,19 @@ def test_flags_match_report_config(runs, capsys, name):
     fixed = {"preset"} if "preset" in _COMMANDS[name][1] else set()
     assert dests - UNREAD_AT_DEFAULTS.get(name, set()) == set(config) - fixed
     assert set(config) == set(_resolve(_COMMANDS[name][1], None, {}))
+
+
+def test_each_command_parses_with_its_own_options_alone():
+    # main builds the options of the invoked command only; the parser of
+    # every command lists the same names and prints the same help
+    every = subparsers()
+    for name in _COMMANDS:
+        own = subparsers(name)
+        assert list(own) == list(every)
+        assert own[name].format_help() == every[name].format_help()
+        assert all(action.dest == "help" for other in own if other != name
+                   for action in own[other]._actions)
+    assert build_parser("no-such-command").format_help() == build_parser().format_help()
 
 
 def rows(name):
